@@ -26,8 +26,21 @@ class LineState(enum.Enum):
         return self is not LineState.SHARED
 
 
+#: The one set every never-filled row of every array points at.  It is
+#: never mutated: reads of an empty set (``lookup``, ``needs_victim``,
+#: ``pick_victim``, ``lines``) change nothing, every write path other
+#: than ``fill`` is guarded by residency, and ``fill`` swaps in a real
+#: set before inserting.  One way keeps ``full`` false.
+_EMPTY = LRUSet(1)
+
+
 class CacheArray:
-    """A physically-indexed, set-associative array with LRU replacement."""
+    """A physically-indexed, set-associative array with LRU replacement.
+
+    Sets are materialized on first fill, so building an array costs one
+    list of ``num_sets`` references to ``_EMPTY`` whatever its geometry:
+    a run pays only for the sets it touches.
+    """
 
     __slots__ = ("params", "num_sets", "_sets", "_mask")
 
@@ -36,8 +49,7 @@ class CacheArray:
         self.params = params
         self.num_sets = params.sets
         self._mask = self.num_sets - 1      # sets is a power of two
-        self._sets: List[LRUSet] = [LRUSet(params.ways)
-                                    for _ in range(self.num_sets)]
+        self._sets: List[LRUSet] = [_EMPTY] * self.num_sets
 
     def set_of(self, line: int) -> int:
         return line & self._mask
@@ -62,7 +74,11 @@ class CacheArray:
 
     def fill(self, line: int, state: LineState) -> None:
         """Insert ``line``; the caller must already have made room."""
-        self._set(line).insert(line, state)
+        index = line & self._mask
+        cache_set = self._sets[index]
+        if cache_set is _EMPTY:
+            cache_set = self._sets[index] = LRUSet(self.params.ways)
+        cache_set.insert(line, state)
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if resident; returns whether it was resident."""
@@ -106,14 +122,13 @@ class CacheArray:
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
 
-    # -- checkpoint shape (format v3) ----------------------------------
+    # -- checkpoint shape ----------------------------------------------
     #
-    # A tag array is mostly empty sets: pickling one ``LRUSet`` object
-    # per set made cache state the bulk of every checkpoint (tens of
-    # thousands of objects for an LLC).  Serialize only the occupied
+    # A tag array is mostly empty sets.  Serialize only the occupied
     # sets as ``(set_index, [(line, state), ...])`` rows — the item
     # order of each row is the set's LRU->MRU order, so a restored
-    # array replays identical victim choices.
+    # array replays identical victim choices.  Restoring materializes
+    # only those rows; every other set is ``_EMPTY`` again.
 
     def __getstate__(self):
         return {"params": self.params,
@@ -126,12 +141,10 @@ class CacheArray:
         self.params = params
         self.num_sets = params.sets
         self._mask = self.num_sets - 1
-        ways = params.ways
-        self._sets = [LRUSet(ways) for _ in range(self.num_sets)]
+        self._sets = [_EMPTY] * self.num_sets
         for index, items in state["occupied"]:
-            lines = self._sets[index]._lines
-            for line, value in items:
-                lines[line] = value
+            cache_set = self._sets[index] = LRUSet(params.ways)
+            cache_set._lines.update(items)
 
 
 class MSHR:

@@ -19,11 +19,9 @@ class LRUSet:
     iteration order of the underlying dict runs from LRU to MRU: plain
     dicts preserve insertion order, and "recently used" is re-insertion
     at the end (``pop`` + assign).  A plain dict is preferred over
-    ``collections.OrderedDict`` because checkpoints pickle thousands of
-    sets per system and the C ``OrderedDict.__reduce__`` re-derives
-    ``copyreg._slotnames`` per *instance* (uncacheable on extension
-    types), which made checkpoint saves ~100x more expensive than the
-    equivalent dict state.
+    ``collections.OrderedDict``: it keeps the same order at a smaller
+    per-set footprint.  Checkpoints never pickle ``LRUSet`` objects;
+    ``CacheArray.__getstate__`` writes the line items of occupied sets.
     """
 
     __slots__ = ("_lines", "ways")

@@ -73,9 +73,11 @@ class CacheShadowTable:
         self.records_per_entry = records_per_entry
         self.infinite = infinite
         self._live_line_of = live_line_of
-        self._table: List[List[_Record]] = [
-            [_Record() for _ in range(records_per_entry)]
-            for _ in range(entries)]
+        # records are created on first use: ``try_pin`` always takes an
+        # entry's first invalid record, so the records ever used form a
+        # prefix of the entry and the absent tail stands for records
+        # that were never valid
+        self._table: List[List[_Record]] = [[] for _ in range(entries)]
         self.stats = StatSet()
 
     def try_pin(self, line: int, placement: Hashable, lq_id: int) -> bool:
@@ -110,8 +112,11 @@ class CacheShadowTable:
                 self.stats.bump("merged_pins")
                 return True
         if free_slot is None:
-            self.stats.bump("denials")
-            return False
+            if len(entry) >= self.records_per_entry:
+                self.stats.bump("denials")
+                return False
+            free_slot = _Record()
+            entry.append(free_slot)
         free_slot.valid = True
         free_slot.addr_hash = target_hash
         free_slot.lq_id = lq_id

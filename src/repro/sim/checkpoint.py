@@ -72,7 +72,11 @@ from repro.isa.trace import Workload
 #: slots, ``Trace`` its NOP-twin table (twins join the externalized
 #: immutable graph below), and the DOM/STT schemes their mutation
 #: flags.  v4 checkpoints no longer restore.
-CHECKPOINT_FORMAT_VERSION = 5
+#: 6: construction in proportion to touched state — a ``CacheArray``
+#: restores only its occupied sets (the rest share one empty set) and a
+#: ``CacheShadowTable`` entry holds only the records it has ever used.
+#: v5 checkpoints no longer restore.
+CHECKPOINT_FORMAT_VERSION = 6
 
 #: Per-workload memo of the serialized immutable part and the
 #: ``id(object) -> persistent id`` table.  Weak keys: the memo must not

@@ -288,11 +288,11 @@ def _make_issue_loads(core: Core,
     elif defense is DefenseKind.DOM:
         # inlined CoherentMemory.l1_hit -> CacheArray.lookup(touch=False):
         # a hit probe is one dict membership test per waiting load.  The
-        # per-set ``_lines`` dicts are stable attributes (mutated, never
-        # reassigned), so the hoisted list stays live.
+        # set list itself is hoisted, never its sets: a fill replaces an
+        # element (the shared empty set) with a real one mid-run.
         l1 = core.mem.l1s[core.core_id]
         l1_mask = l1._mask
-        l1_lines = [lru._lines for lru in l1._sets]
+        l1_sets = l1._sets
 
         def issue_loads() -> None:  # repro: hot
             wl = core._waiting_loads
@@ -307,7 +307,8 @@ def _make_issue_loads(core: Core,
                     continue
                 entry = handles[slot]
                 line = entry.line
-                if vp_col[slot] >= 0 or line in l1_lines[line & l1_mask]:
+                if vp_col[slot] >= 0 \
+                        or line in l1_sets[line & l1_mask]._lines:
                     if budget:
                         budget -= 1
                         issued += 1

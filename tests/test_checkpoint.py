@@ -227,6 +227,16 @@ class TestCheckpointFiles:
         assert "3" in message
         assert str(CHECKPOINT_FORMAT_VERSION) in message
 
+    def test_v5_blob_is_refused_with_versions_named(self):
+        """A format-5 checkpoint predates lazily built cache sets and CST
+        rows; it is refused rather than restored into them."""
+        blob = pickle.dumps({"format": 5, "cycle": 120, "system": None})
+        with pytest.raises(CheckpointError) as excinfo:
+            restore_system(blob)
+        message = str(excinfo.value)
+        assert "5" in message
+        assert str(CHECKPOINT_FORMAT_VERSION) in message
+
     def test_v3_file_is_refused(self, tmp_path):
         path = str(tmp_path / "old-format.ckpt")
         with open(path, "wb") as fh:

@@ -2,13 +2,20 @@
 invalidation deferral (Defer/Abort), starvation control (GetX*/Inv*/Clear
 and CPT callbacks), eviction denial, and retry accounting (§9.1.3)."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.addr import slice_of
 from repro.common.events import EventQueue
-from repro.common.params import CacheParams, SystemConfig
-from repro.mem.cache import LineState
+from repro.common.params import (COMPREHENSIVE, ChaosConfig, CacheParams,
+                                 DefenseKind, PinningMode, SystemConfig)
+from repro.mem.cache import _EMPTY, CacheArray, LineState
 from repro.mem.coherence import CoherentMemory, CorePort
+from repro.sim.engine import SpecializedEngine
+from repro.sim.runner import scheme_grid
+from repro.sim.system import System
+from repro.workloads import parallel_workload, spec17_workload
 
 
 class RecordingPort(CorePort):
@@ -311,3 +318,92 @@ class TestNetworkAccounting:
         assert mem.network.message_count("defer") >= 1
         ports[1].pinned.discard(5)
         settle(events)
+
+
+#: Label -> config for the 13 schemes of the evaluation.
+SCHEMES = dict(
+    [("unsafe", SystemConfig())]
+    + [(label, SystemConfig().with_defense(defense, threat, pinning))
+       for label, (defense, threat, pinning)
+       in sorted(scheme_grid().items())])
+
+
+def arrays_of(system):
+    return list(system.mem.l1s) + list(system.mem.slices)
+
+
+def materialized(array):
+    return {index for index, cache_set in enumerate(array._sets)
+            if cache_set is not _EMPTY}
+
+
+class TestLazyConstruction:
+    """A ``System`` is built in proportion to the state a run touches:
+    every cache set starts as the shared ``_EMPTY`` and only a fill
+    materializes one."""
+
+    @pytest.mark.parametrize("cores", [1, 8])
+    def test_new_system_materializes_no_set(self, cores):
+        workload = parallel_workload("radix", num_threads=cores,
+                                     instructions_per_thread=50)
+        system = System(dataclasses.replace(SystemConfig(),
+                                            num_cores=cores), workload)
+        assert len(arrays_of(system)) == cores + 8
+        for array in arrays_of(system):
+            assert materialized(array) == set()
+
+    def test_warm_materializes_only_filled_sets(self, monkeypatch):
+        filled = set()
+        original_fill = CacheArray.fill
+
+        def recording_fill(array, line, state):
+            filled.add((id(array), array.set_of(line)))
+            original_fill(array, line, state)
+
+        monkeypatch.setattr(CacheArray, "fill", recording_fill)
+        workload = spec17_workload("mcf_r", instructions=1000)
+        system = System(SystemConfig(), workload)
+        system.mem.warm(workload)
+        touched = {(id(array), index) for array in arrays_of(system)
+                   for index in materialized(array)}
+        assert touched and touched == filled
+
+    @pytest.mark.parametrize("label", sorted(SCHEMES))
+    def test_shared_empty_set_survives_every_scheme(self, label):
+        workload = spec17_workload("mcf_r", instructions=400)
+        system = System(SCHEMES[label], workload)
+        system.mem.warm(workload)
+        system.run()
+        assert len(_EMPTY) == 0 and _EMPTY.ways == 1
+        l1 = system.mem.l1s[0]
+        assert 0 < len(materialized(l1)) < l1.num_sets
+
+    def test_shared_empty_set_survives_forced_evictions(self):
+        chaos = ChaosConfig(seed=3, evict_interval=20, wb_spike_interval=300)
+        config = dataclasses.replace(
+            SCHEMES["fence-ep"], num_cores=2, chaos=chaos)
+        workload = parallel_workload("radix", num_threads=2,
+                                     instructions_per_thread=300)
+        system = System(config, workload)
+        system.mem.warm(workload)
+        system.run()
+        assert system.mem.stats["chaos_forced_evictions"] > 0
+        assert len(_EMPTY) == 0 and _EMPTY.ways == 1
+
+    def test_dom_sets_first_filled_mid_run_match_reference(self):
+        """The DOM engine probes L1 residency through the live set list,
+        so a set that first fills mid-run is seen at once.  No warm-up:
+        every L1 set of this cell is first filled by the timed run."""
+        config = SystemConfig().with_defense(DefenseKind.DOM, COMPREHENSIVE,
+                                             PinningMode.EARLY)
+        workload = spec17_workload("mcf_r", instructions=1000)
+        opt, ref = System(config, workload), System(config, workload)
+        opt.run()
+        ref.run_reference()
+        assert isinstance(opt._engine, SpecializedEngine)
+        assert materialized(opt.mem.l1s[0])
+        assert opt.cycles == ref.cycles
+        for oc, rc in zip(opt.cores, ref.cores):
+            assert oc.stats.as_dict() == rc.stats.as_dict()
+            assert oc.controller.stats.as_dict() \
+                == rc.controller.stats.as_dict()

@@ -1,8 +1,12 @@
 """Cache Shadow Table behaviour (§5.1.4, §6.2, Figure 6)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.pinning.cst import ADDR_HASH_BITS, CacheShadowTable, _hash_line
+from repro.common.stats import StatSet
+from repro.pinning.cst import (ADDR_HASH_BITS, CacheShadowTable, _hash_key,
+                               _hash_line)
 
 
 class LiveMap:
@@ -132,3 +136,121 @@ class TestGeometry:
         live.lines[2] = 200
         cst.try_pin(200, ("l1", 0), 2)
         assert cst.denial_rate == pytest.approx(0.5)
+
+
+class _EagerRecord:
+    __slots__ = ("addr_hash", "lq_id", "valid")
+
+    def __init__(self):
+        self.addr_hash = 0
+        self.lq_id = -1
+        self.valid = False
+
+
+class EagerCST:
+    """The table as it was first written: every record of every entry
+    allocated up front.  Kept here as the oracle for the lazily grown
+    table, which must make the same decisions and count the same stats."""
+
+    def __init__(self, entries, records_per_entry, live_line_of):
+        self.entries = entries
+        self._live_line_of = live_line_of
+        self._table = [[_EagerRecord() for _ in range(records_per_entry)]
+                       for _ in range(entries)]
+        self.stats = StatSet()
+
+    def try_pin(self, line, placement, lq_id):
+        self.stats.bump("attempts")
+        entry = self._table[_hash_key(placement, self.entries)]
+        target_hash = _hash_line(line)
+        free_slot = None
+        for record in entry:
+            if not record.valid:
+                free_slot = free_slot or record
+                continue
+            live_line = self._live_line_of(record.lq_id)
+            if live_line is None:
+                record.valid = False
+                free_slot = free_slot or record
+                continue
+            if record.addr_hash == target_hash:
+                if live_line != line:
+                    self.stats.bump("hash_collision_denials")
+                    self.stats.bump("denials")
+                    return False
+                record.lq_id = lq_id
+                self.stats.bump("merged_pins")
+                return True
+        if free_slot is None:
+            self.stats.bump("denials")
+            return False
+        free_slot.valid = True
+        free_slot.addr_hash = target_hash
+        free_slot.lq_id = lq_id
+        self.stats.bump("new_pins")
+        return True
+
+    def cancel(self, line, placement, lq_id):
+        entry = self._table[_hash_key(placement, self.entries)]
+        for record in entry:
+            if record.valid and record.lq_id == lq_id \
+                    and record.addr_hash == _hash_line(line):
+                record.valid = False
+                return
+
+    def clear(self):
+        for entry in self._table:
+            for record in entry:
+                record.valid = False
+
+
+def _rows(table, width):
+    """Every entry as ``(valid, addr_hash, lq_id)`` rows, padded with
+    never-used records to ``width``."""
+    return [[(r.valid, r.addr_hash, r.lq_id) for r in entry]
+            + [(False, 0, -1)] * (width - len(entry)) for entry in table]
+
+
+#: 0 and 2455 share a 12-bit address hash, so collision denials occur.
+LINES = st.sampled_from([0, 2455, 1, 2, 3, 64, 100, 4096])
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("pin"), LINES, st.integers(0, 5), st.integers(0, 7)),
+    st.tuples(st.just("cancel"), LINES, st.integers(0, 5),
+              st.integers(0, 7)),
+    st.tuples(st.just("live"), LINES, st.integers(0, 7)),
+    st.tuples(st.just("retire"), st.integers(0, 7)),
+    st.tuples(st.just("clear"),)), max_size=60)
+
+
+class TestLazyRecordsMatchEagerTable:
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.integers(1, 4), records=st.integers(1, 4), ops=OPS)
+    def test_same_decisions_stats_and_records(self, entries, records, ops):
+        """Records are created on first use, which is exact because the
+        records ever used always form a prefix of their entry."""
+        live = LiveMap()
+        lazy = CacheShadowTable(entries, records, live)
+        eager = EagerCST(entries, records, live)
+        assert lazy._table == [[]] * entries
+        for op in ops:
+            kind = op[0]
+            if kind == "pin":
+                _, line, placement, lq_id = op
+                assert lazy.try_pin(line, placement, lq_id) \
+                    == eager.try_pin(line, placement, lq_id), op
+            elif kind == "cancel":
+                _, line, placement, lq_id = op
+                lazy.cancel(line, placement, lq_id)
+                eager.cancel(line, placement, lq_id)
+            elif kind == "live":
+                _, line, lq_id = op
+                live.lines[lq_id] = line
+            elif kind == "retire":
+                live.lines.pop(op[1], None)
+            else:
+                lazy.clear()
+                eager.clear()
+            assert all(len(entry) <= records for entry in lazy._table)
+            assert _rows(lazy._table, records) \
+                == _rows(eager._table, records), op
+        assert lazy.stats.as_dict() == eager.stats.as_dict()
