@@ -13,7 +13,8 @@ avoids one closure allocation per scheduled event (see
 The queue doubles as the wakeup source for ``System.run``'s idle-cycle
 fast-forward: pending events bound how far the loop may skip
 (``next_time``), so a state transition is allowed to be "invisible" to
-``Core.quiet_until`` exactly when it is scheduled here.  Do NOT add
+the engine's quiet bound (``repro.sim.engine._make_quiet``) exactly
+when it is scheduled here.  Do NOT add
 no-op "wakeup" events to widen that contract — every schedule consumes
 a tie-breaking sequence number, so an extra event perturbs the FIFO
 order of same-cycle deliveries and changes simulated behaviour.  Cores

@@ -285,8 +285,8 @@ class SystemConfig:
     chaos: Optional[ChaosConfig] = None
     #: Test-only defense weakening (``DEFENSE_MUTATIONS``) for the
     #: leakage oracle's mutant self-test.  Empty in every real
-    #: configuration; a mutated config is ineligible for the
-    #: specialized engine so the weakened scheme hook is always honored.
+    #: configuration; a mutated config issues loads through the generic
+    #: scheme-hook stage so the weakened hook is always honored.
     defense_mutation: str = ""
 
     @property

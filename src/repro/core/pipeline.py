@@ -5,6 +5,12 @@ pinning chain, issues ready uops and eligible loads, dispatches new uops,
 and drains the write buffer.  Completion of multi-cycle work (functional
 units, memory responses) arrives through the system event queue.
 
+The per-cycle step that ``System.run`` executes is compiled per core by
+``repro.sim.engine`` over this object's state; the stage methods here
+are its semantics (and the pieces it reuses — generic load issue,
+event callbacks, squash), and ``tick_reference`` is the frozen
+unguarded step the ``run_reference`` oracle drives.
+
 The core implements the coherence layer's ``CorePort``: it is the component
 snooped on invalidations/evictions (TSO squash rule and pin deferral) and
 the home of the Cannot-Pin Table.
@@ -45,9 +51,6 @@ from repro.security.threat import VPState
 
 #: L1-D read/write ports (Table 1): max loads issued to memory per cycle.
 L1_PORTS = 3
-
-#: ``Core.quiet_until`` bound meaning "quiet until the next event".
-QUIET_FOREVER = 1 << 62
 
 
 class RetireProgress:
@@ -117,10 +120,11 @@ class Core(CorePort):
         self._data_waiters: Dict[int, List[ROBEntry]] = {}
         self._resolved_mispredicts: set = set()
         self._wb_draining = False
-        # event-driven wakeup state (see ``quiet_until``): the candidate
-        # counter gates the VP walk (``FLAG_VP_CAND`` marks the loads it
-        # may act on); the dirty flag records that something mutated
-        # since this core's last tick began
+        # event-driven wakeup state (see the engine's quiet bound,
+        # ``repro.sim.engine._make_quiet``): the candidate counter gates
+        # the VP walk (``FLAG_VP_CAND`` marks the loads it may act on);
+        # the dirty flag records that something mutated since this
+        # core's last tick began
         self._vp_candidates = 0
         self._wake_pending = True
         self._waiting_stalled = False
@@ -132,7 +136,7 @@ class Core(CorePort):
         self._progress = progress if progress is not None \
             else RetireProgress()
         # hot-loop hoists: immutable facts and stable containers read
-        # every cycle by ``tick`` (the columns are never reassigned)
+        # by the stage methods (the columns are never reassigned)
         self._trace_len = len(trace)
         # adversarial traces only: NOP twins for transient uops, checked
         # with one None test per dispatched uop on ordinary traces
@@ -224,120 +228,10 @@ class Core(CorePort):
     def done(self) -> bool:
         return self.done_cycle is not None
 
-    def tick(self, cycle: int) -> None:
-        """One pipeline step.  This is the hot path: every stage call is
-        guarded by the cheap condition that makes it a no-op, so an idle
-        or memory-bound cycle costs a handful of attribute reads instead
-        of seven function calls.  The stages keep their internal guards,
-        so ``tick_reference`` (the seed loop, unguarded) stays
-        behaviour-identical — asserted by the tests."""
-        if self.done_cycle is not None:
-            return
-        # mutations made by this tick body (or arriving later this cycle
-        # from another core's tick) re-arm the flag; a tick that mutates
-        # nothing leaves it clear, and ``quiet_until`` may then report
-        # the defense machinery quiet (cleared here, NOT in
-        # ``tick_reference`` — the flag is only read by the optimized
-        # loop and setting it is inert under the reference loop)
-        self._wake_pending = False
-        self.cycle = cycle
-        if self._cursor > self._retired_upto:
-            self._retire_stage()
-        if self._vp_active:
-            self._update_vps()
-        if self._pinning:
-            self.controller.tick()
-        if self._lp_parked:
-            self._lp_retry_parked()
-        if self._ready or self._waiting_loads:
-            self._issue_stage()
-        if self._cursor < self._trace_len and cycle >= self._fetch_resume:
-            self._dispatch_stage()
-        if self._wb_entries and not self._wb_draining:
-            self._kick_write_buffer()
-        if (self._cursor == self._retired_upto and not self._wb_entries
-                and self._cursor >= self._trace_len):
-            self.done_cycle = cycle
-            self.stats.set("done_cycle", cycle)
-            self.stats.set("retire_sig", self.retire_sig)
-
-    def quiet_until(self, cycle: int) -> int:
-        """Exclusive upper bound on cycles whose ticks are provably
-        no-ops for this core absent an intervening event; ``0`` if the
-        core may act at ``cycle + 1``.
-
-        This is the soundness contract behind ``System.run``'s
-        fast-forward: every per-cycle stage is frozen unless one of the
-        conditions below holds, because all other state transitions
-        (completions, memory fills, write-buffer drains, branch
-        resolutions and the squashes they cause) arrive via the event
-        queue, and the caller never skips past a pending event.
-
-        The defense machinery (the VP walk, taint queries, the pinning
-        controller) is quiet on the same argument, tracked by the
-        ``_wake_pending`` dirty flag: every mutation that can move VP,
-        taint, or pin state — dispatch, retire, squash, address
-        generation, branch resolution, data arrival, store drains,
-        VP marking itself, and the coherence-driven CPT/invalidation
-        hooks — sets the flag, and ``tick`` clears it on entry.  A clear
-        flag therefore means the machinery is at a fixpoint: re-running
-        the walk and the pin chain on unchanged state marks and pins
-        nothing (their inputs are pure functions of that state), so the
-        next ticks are no-ops until an event or another core's tick
-        re-arms the flag.  Stalled pre-VP loads (``_waiting_stalled``)
-        are quiet on the same fixpoint argument: an issue mode can only
-        flip via a flagged mutation or an event (cache fills move DOM's
-        hit probe; VP marks and retires move STT's taint roots).
-
-        Because all per-slot timing state (VP cycles, completion cycles)
-        is stored as *absolute* cycle numbers in the columns, a quiet
-        region needs no per-slot touches at all: the caller advances the
-        clock in one arithmetic step and every column value stays valid.
-        """
-        if self._wake_pending and (self._vp_active or self._pinning):
-            return 0
-        if self._ready or self._lp_parked:
-            return 0
-        if self._waiting_loads and not self._waiting_stalled:
-            return 0
-        if self._wb_entries and not self._wb_draining:
-            return 0
-        occupancy = self._cursor - self._retired_upto
-        if occupancy:
-            head = self._handles[self._retired_upto & self._slot_mask]
-            opclass = head.uop.opclass
-            if opclass is OpClass.ATOMIC:
-                return 0    # head-issue attempt runs inside retire
-            elif opclass is OpClass.BARRIER:
-                # un-notified heads must tick to arrive; released ones
-                # retire.  A notified, unreleased barrier is frozen
-                # until another core (never quiet mid-retire) releases.
-                if not head.barrier_notified \
-                        or self.barriers.released(head.uop.barrier_id):
-                    return 0
-            elif opclass is OpClass.FENCE:
-                if not self._wb_entries:
-                    return 0    # retirable right now
-            elif head.complete:
-                return 0    # may retire (or attempt to) next tick
-        if self._cursor < self._trace_len \
-                and occupancy < self._rob_capacity:
-            uop = self.trace[self._cursor]
-            if self._twins is not None and uop.guard is not None \
-                    and uop.guard in self._resolved_mispredicts:
-                # mirror the dispatch-stage twin substitution: the
-                # neutered uop is an INT_ALU and never blocks on the LQ
-                uop = self._twins[uop.index]
-            if not ((uop.is_load and self.lq.full)
-                    or (uop.is_store and self.sq.full)):
-                if self._fetch_resume <= cycle + 1:
-                    return 0    # would dispatch next tick
-                return self._fetch_resume   # quiet until the resteer
-        return QUIET_FOREVER
-
     def tick_reference(self, cycle: int) -> None:
         """The seed per-cycle step: unconditional stage calls in the
-        original order.  Validation baseline for the guarded ``tick``."""
+        original order.  Validation baseline (``System.run_reference``)
+        for the engine's specialized ticks (``repro.sim.engine``)."""
         if self.done:
             return
         self.cycle = cycle
@@ -450,14 +344,14 @@ class Core(CorePort):
         carry ``FLAG_VP_CAND`` (set at address generation, cleared on
         mark/squash), and ``_vp_candidates`` counts them so an empty
         frontier skips the walk entirely — a sound "nothing to mark"
-        signal for ``quiet_until``, since the flag is only ever set from
-        an address-ready event.  The below conditions over *older* uops
-        are monotone in program order, so the walk stops at the first
-        candidate that fails them; non-candidates never reached the
-        per-load checks in the seed walk (they ``continue``d first), so
-        skipping them changes nothing, and candidates are visited in
-        ascending program order, preserving the marking (and therefore
-        event-scheduling) order exactly."""
+        signal for the engine's quiet bound, since the flag is only ever
+        set from an address-ready event.  The below conditions over
+        *older* uops are monotone in program order, so the walk stops at
+        the first candidate that fails them; non-candidates never
+        reached the per-load checks in the seed walk (they
+        ``continue``d first), so skipping them changes nothing, and
+        candidates are visited in ascending program order, preserving
+        the marking (and therefore event-scheduling) order exactly."""
         if not self.scheme.gates_issue and self.taint is None:
             return
         if not self._vp_candidates:
@@ -640,7 +534,7 @@ class Core(CorePort):
         keep: List[int] = []
         # every kept load stalled by its scheme (not by the port budget)
         # → re-running this stage is a no-op until an event or a flagged
-        # mutation flips an issue mode; read by ``quiet_until``
+        # mutation flips an issue mode; read by the engine's quiet bound
         stalled_only = True
         rob = self.rob
         for index in self._waiting_loads:

@@ -1,7 +1,7 @@
 """Trace precompilation: one flat struct-of-arrays view per ``Trace``.
 
 The specialized run loops (``repro.sim.engine``) touch the trace on
-every dispatch and on every ``quiet_until`` probe.  Going through the
+every dispatch and on every quiet-bound probe.  Going through the
 per-uop object model costs an object index, an attribute load, and —
 for ``is_load``/``is_store`` — a property *call* per touch.  A
 ``CompiledTrace`` decodes the whole trace once per run into parallel
@@ -102,6 +102,19 @@ class CompiledTrace:
         self.deps_flat = deps_flat
         self.data_start = data_start
         self.data_flat = data_flat
+
+    def private_copy(self) -> "CompiledTrace":
+        """A copy whose ``opcodes`` / ``is_load`` / ``uops`` rows the
+        caller may rewrite (the engine's NOP-twin substitution for
+        adversarial traces).  The memoized decode is shared by every
+        system bound to the same trace and must never be written."""
+        copy = CompiledTrace.__new__(CompiledTrace)
+        for name in self.__slots__:
+            setattr(copy, name, getattr(self, name))
+        copy.opcodes = bytearray(self.opcodes)
+        copy.is_load = bytearray(self.is_load)
+        copy.uops = list(self.uops)
+        return copy
 
     def deps_of(self, index: int) -> Tuple[int, ...]:
         """Operand producers of uop ``index`` (diagnostics; the engine

@@ -45,7 +45,8 @@ _NO_MIN = 1 << 62
 class PinnedLoadsController:
     """Per-core pinning logic shared by the LP and EP designs.
 
-    Quiet/wakeup contract (``Core.quiet_until``): ``tick`` is a pure
+    Quiet/wakeup contract (the engine's quiet bound,
+    ``repro.sim.engine._make_quiet``): ``tick`` is a pure
     function of state that only changes through event-mediated or
     flagged transitions — coherence messages (CPT inserts/clears,
     invalidations), fills (LP data arrival), retires and squashes
@@ -57,7 +58,7 @@ class PinnedLoadsController:
     and pins nothing.  Denial statistics are therefore counted per
     *episode* — once per (load, reason) — never per retry tick, so they
     are identical whether the chain reruns every cycle (the reference
-    loop) or only on wakeups (the optimized loop).
+    loop) or only on wakeups (the engine).
     """
 
     # "__dict__" stays in the slots: the opt-in invariant sanitizer

@@ -1,15 +1,13 @@
-"""Per-scheme specialized run loops over struct-of-arrays core state.
+"""The production run loop: per-core specialized closures over
+struct-of-arrays core state.
 
-``System.run`` delegates here when the configured defense belongs to one
-of the specialized families (unsafe / fence / DOM / STT — the 13-scheme
-paper grid) and no sanitizer is attached.  ``build_engine`` compiles each
-core's trace once (``repro.isa.compiled``) and closes a dedicated
-``tick``/``quiet_until`` pair over the core's hot state:
+``System.run`` always runs here.  ``build_engine`` compiles each core's
+trace once (``repro.isa.compiled``) and closes a dedicated ``tick`` /
+``quiet_until`` pair over the core's hot state (``_specialize_core``):
 
-* every scheme flag, threat-model level, latency, and capacity that the
-  generic ``Core.tick`` re-reads through attribute/property chains each
-  cycle is bound once as a closure constant, so the inner loop carries
-  no per-cycle scheme dispatch;
+* every scheme flag, threat-model level, latency, and capacity is bound
+  once as a closure constant, so the inner loop carries no per-cycle
+  attribute/property chains and no per-cycle scheme dispatch;
 * the mutable core state the closures chase is struct-of-arrays too
   (``repro.core.rob.ColumnState``): status/deps/VP state are ``array``
   columns indexed by ``index & mask``, the ROB window and the LQ/SQ are
@@ -28,19 +26,34 @@ core's trace once (``repro.isa.compiled``) and closes a dedicated
   scan — with the STT root-liveness probe reduced to window-bounds
   integer compares against the VP column.
 
-Behaviour is bit-exact against ``Core.tick`` / ``System.run_ticked`` and
-against the seed ``run_reference`` oracle: same event schedule (the tie
-break is the queue's insertion sequence, so the engine issues exactly
-the calls the generic path would), same statistics, same retire
-signatures.  Parity is asserted per grid cell by ``repro bench`` and by
-``tests/test_soa_parity.py``, chaos on and off.
+Variants are chosen per core at build time from what the engine can
+observe, never from an option:
 
-Two refinements beyond the generic tick:
+* adversarial traces (``Trace.has_transient``) dispatch through a
+  wrapper that applies the NOP-twin substitution of
+  ``Core._dispatch_stage`` to the core's private copy of the trace rows;
+* defenses without a specialized issue loop (invisible speculation) and
+  mutated defenses (``SystemConfig.defense_mutation``) issue loads
+  through the generic ``Core._issue_waiting_loads`` — the scheme hooks
+  decide, so a weakened hook is always honored;
+* with a sanitizer attached, every tick is followed by the sanitizer's
+  per-tick check and the quiet bound is 0, so every cycle is ticked and
+  checked.
+
+Behaviour is bit-exact against the frozen ``run_reference`` oracle
+(``Core.tick_reference``): same event schedule (the tie break is the
+queue's insertion sequence, so the engine issues exactly the calls the
+per-stage methods would), same statistics, same retire signatures.
+Parity is asserted per grid cell by ``repro bench`` and by
+``tests/test_soa_parity.py``, chaos on and off, sanitized, adversarial
+and mutated.
+
+Two refinements beyond a plain per-cycle tick:
 
 * the stalled-scan skip: when every waiting load was stalled by its
   scheme (``_waiting_stalled``) and nothing re-armed the core's
-  ``_wake_pending`` flag, the scan is provably a no-op (the
-  ``Core.quiet_until`` fixpoint contract — issue modes only flip via
+  ``_wake_pending`` flag, the scan is provably a no-op (the quiet-bound
+  fixpoint contract of ``_make_quiet`` — issue modes only flip via
   flagged mutations or events) and is skipped even while other stages
   stay busy;
 * batched quiet-region stepping in the multi-core loop: each core
@@ -58,8 +71,10 @@ Two refinements beyond the generic tick:
 
 The engine holds no simulated state of its own: everything lives in the
 ordinary object model, so checkpoints, diagnostics, and the reference
-loops see one world.  Engines are rebuilt lazily after a checkpoint
-restore (``System.__getstate__`` drops them).
+loops see one world (the private NOP-twin rows are a function of the
+core's resolved-mispredict set and are re-derived at build).  Engines
+are rebuilt lazily after a checkpoint restore (``System.__getstate__``
+drops them).
 """
 
 from __future__ import annotations
@@ -71,21 +86,24 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import DeadlockError
 from repro.common.params import DefenseKind, PinningMode, ThreatModel
-from repro.core.pipeline import L1_PORTS, QUIET_FOREVER, Core
+from repro.core.pipeline import L1_PORTS, Core
 from repro.core.rob import (FLAG_ADDR_READY, FLAG_COMPLETE, FLAG_FORWARDED,
                             FLAG_INVISIBLE, FLAG_ISSUED, FLAG_MCV_SAFE,
                             FLAG_OUTSTANDING, FLAG_PARKED, FLAG_PERFORMED,
                             FLAG_VP_CAND, ROBEntry)
-from repro.isa.compiled import (OP_ATOMIC, OP_BARRIER, OP_BRANCH, OP_FENCE,
-                                OP_LOAD, OP_STORE, CompiledTrace,
+from repro.isa.compiled import (OP_ATOMIC, OP_BARRIER, OP_BRANCH, OP_CODES,
+                                OP_FENCE, OP_LOAD, OP_STORE, CompiledTrace,
                                 compile_trace)
 
-#: Defense families with a specialized inner loop.  Anything else (e.g.
-#: invisible speculation, which is outside the paper's 13-scheme grid)
-#: falls back to the generic guarded tick loop.
+#: Defense families with a specialized issue-loads stage.  Anything else
+#: (invisible speculation, outside the paper's 13-scheme grid) issues
+#: through the generic ``Core._issue_waiting_loads``.
 SPECIALIZED_DEFENSES = frozenset({
     DefenseKind.UNSAFE, DefenseKind.FENCE, DefenseKind.DOM, DefenseKind.STT,
 })
+
+#: Quiet bound meaning "quiet until the next event".
+QUIET_FOREVER = 1 << 62
 
 #: Sentinel for "no live value" when a LazyMinSet min is hoisted into a
 #: plain integer compare (safely above any uop index).
@@ -427,8 +445,9 @@ def _make_update_vps(core: Core) -> Callable[[], None]:
             return
         # The VP condition sets only shrink at retire / resolve events,
         # never during this walk (marking a load clears its candidate
-        # flag; its ``on_load_vp`` hook is a no-op for the specialized
-        # schemes), so each set's min is read once.  The index-bound
+        # flag; its ``on_load_vp`` hook is a no-op or, for invisible
+        # speculation, a validation request that only schedules
+        # events), so each set's min is read once.  The index-bound
         # break conditions are monotone and side-effect free, so "break
         # on the first failing bound" equals "break when the index
         # passes the smallest applicable bound" — and the break may fire
@@ -797,7 +816,41 @@ def _make_dispatch(core: Core, compiled: CompiledTrace) -> Callable[[], None]:
             core._wake_pending = True
             stats.bump("dispatched", dispatched)
 
-    return dispatch_stage
+    twins = core._twins
+    if twins is None:
+        return dispatch_stage
+
+    # Adversarial traces: once a transient uop's guard has resolved,
+    # every replay dispatches its NOP twin (``Core._dispatch_stage``).
+    # The twin is written into this core's private rows (``compiled`` is
+    # a ``private_copy``), which every stage reads.  Rewriting a row
+    # once its guard is in the resolved set is exact: the set only
+    # grows, and resolving the guard squashed every original, so no
+    # live uop still reads the old row.
+    unpatched = dict(twins)
+    resolved = core._resolved_mispredicts
+    is_load = compiled.is_load
+    seen = [-1]
+
+    def patch_twins() -> None:
+        seen[0] = len(resolved)
+        for index in [i for i in unpatched if uops[i].guard in resolved]:
+            twin = unpatched.pop(index)
+            opcodes[index] = OP_CODES[twin.opclass]
+            is_load[index] = 0
+            uops[index] = twin
+            line_objs[index] = None
+            deps_list[index] = twin.deps
+            data_deps_list[index] = twin.data_deps
+
+    patch_twins()   # a restored core may hold twins already
+
+    def dispatch_twins() -> None:
+        if len(resolved) != seen[0]:
+            patch_twins()
+        dispatch_stage()
+
+    return dispatch_twins
 
 
 def _make_controller_tick(core: Core) -> Callable[[], None]:
@@ -928,13 +981,43 @@ def _make_controller_tick(core: Core) -> Callable[[], None]:
 
 
 def _make_quiet(core: Core, compiled: CompiledTrace) -> Callable[[int], int]:
-    """Specialized ``Core.quiet_until``: same conditions, same order,
-    with the trace/head probes on flat arrays and the occupancy tests
-    on window arithmetic."""
+    """Exclusive upper bound on cycles whose ticks are provably no-ops
+    for this core absent an intervening event; ``0`` if the core may act
+    at ``cycle + 1``.
+
+    This is the soundness contract behind the run loops' fast-forward:
+    every per-cycle stage is frozen unless one of the conditions below
+    holds, because all other state transitions (completions, memory
+    fills, write-buffer drains, branch resolutions and the squashes they
+    cause) arrive via the event queue, and the loops never skip past a
+    pending event.
+
+    The defense machinery (the VP walk, taint queries, the pinning
+    controller) is quiet on the same argument, tracked by the
+    ``_wake_pending`` dirty flag: every mutation that can move VP,
+    taint, or pin state — dispatch, retire, squash, address generation,
+    branch resolution, data arrival, store drains, VP marking itself,
+    and the coherence-driven CPT/invalidation hooks — sets the flag, and
+    the tick clears it on entry.  A clear flag therefore means the
+    machinery is at a fixpoint: re-running the walk and the pin chain on
+    unchanged state marks and pins nothing, so the next ticks are no-ops
+    until an event or another core's tick re-arms the flag.  Stalled
+    pre-VP loads (``_waiting_stalled``) are quiet on the same fixpoint
+    argument: an issue mode can only flip via a flagged mutation or an
+    event (cache fills move DOM's hit probe; VP marks and retires move
+    STT's taint roots).
+
+    Because all per-slot timing state (VP cycles, completion cycles) is
+    stored as *absolute* cycle numbers in the columns, a quiet region
+    needs no per-slot touches: the loop advances the clock in one
+    arithmetic step and every column value stays valid."""
     wake_matters = core._vp_active or core._pinning
     opcodes = compiled.opcodes
     barrier_ids = compiled.barrier_ids
     is_load = compiled.is_load
+    uops = compiled.uops
+    twins = core._twins
+    resolved = core._resolved_mispredicts
     is_store = compiled.is_store
     trace_len = compiled.length
     handles = core._handles
@@ -972,8 +1055,12 @@ def _make_quiet(core: Core, compiled: CompiledTrace) -> Callable[[int], int]:
             elif flags[ru & mask] & FLAG_COMPLETE:
                 return 0
         if cursor < trace_len and cursor - ru < rob_capacity:
+            # a row still unpatched although its guard resolved will
+            # dispatch as its NOP twin, which never blocks on the LQ
             if not ((is_load[cursor]
-                     and lq._tail - lq._head >= lq_capacity)
+                     and lq._tail - lq._head >= lq_capacity
+                     and (twins is None or cursor not in twins
+                          or uops[cursor].guard not in resolved))
                     or (is_store[cursor]
                         and sq._tail - sq._head >= sq_capacity)):
                 resume = core._fetch_resume
@@ -985,22 +1072,39 @@ def _make_quiet(core: Core, compiled: CompiledTrace) -> Callable[[int], int]:
     return quiet_until
 
 
+def _never_quiet(cycle: int) -> int:
+    """Quiet bound of a sanitized core: every cycle is ticked and
+    checked, exactly as if no fast-forward existed."""
+    return 0
+
+
 def _specialize_core(core: Core, compiled: CompiledTrace,
+                     check_tick: Optional[Callable[[Core], None]] = None,
                      ) -> Tuple[Callable[[int], None], Callable[[int], int]]:
     """Compile one core's tick/quiet pair.  Stage activation flags
-    (``vp_active``, pinning, LATE parking) are static per config, so the
-    per-cycle flag re-tests of the generic tick disappear."""
+    (``vp_active``, pinning, LATE parking) are static per config and
+    bound once, so the tick re-tests none of them per cycle.
+
+    Defenses without a specialized issue loop (invisible speculation)
+    and mutated defenses (``SystemConfig.defense_mutation``, whose
+    weakened hooks live in the scheme objects) issue loads through the
+    generic ``Core._issue_waiting_loads``.  With a sanitizer attached
+    (``check_tick``), every tick is followed by its per-tick invariant
+    check and the core never reports quiet."""
     vp_active = core._vp_active
     pinning = core._pinning
     late = core.config.pinning.mode is PinningMode.LATE
+    defense = core.config.defense
+    generic_issue = bool(core.config.defense_mutation) \
+        or defense not in SPECIALIZED_DEFENSES
     # The stalled-scan skip is sound only when issue eligibility flips
-    # exclusively through wake-flagged mutations (the quiet_until
+    # exclusively through wake-flagged mutations (the quiet-bound
     # fixpoint contract): true for fence (vp_cycle), STT (vp_cycle /
     # taint liveness) and unsafe (always eligible).  DOM eligibility
     # also reads shared L1 state, which mem-side events (a write-buffer
-    # drain filling a line) change without waking the core, so DOM
-    # scans whenever loads wait — exactly like the generic tick.
-    scan_always = core.config.defense is DefenseKind.DOM
+    # drain filling a line) change without waking the core, so DOM — and
+    # the generic scheme-hook stage — scans whenever loads wait.
+    scan_always = generic_issue or defense is DefenseKind.DOM
     trace_len = compiled.length
     stats = core.stats
     controller_tick = _make_controller_tick(core) if pinning else None
@@ -1009,7 +1113,8 @@ def _specialize_core(core: Core, compiled: CompiledTrace,
     retire_stage = _make_retire(core, compiled)
     update_vps = _make_update_vps(core) if vp_active else None
     issue_ready = _make_issue_ready(core, compiled)
-    issue_loads = _make_issue_loads(core, compiled)
+    issue_loads = core._issue_waiting_loads if generic_issue \
+        else _make_issue_loads(core, compiled)
     dispatch_stage = _make_dispatch(core, compiled)
     quiet_until = _make_quiet(core, compiled)
 
@@ -1046,24 +1151,37 @@ def _specialize_core(core: Core, compiled: CompiledTrace,
             stats.set("done_cycle", cycle)
             stats.set("retire_sig", core.retire_sig)
 
-    return tick, quiet_until
+    if check_tick is None:
+        return tick, quiet_until
+
+    def checked_tick(cycle: int) -> None:
+        tick(cycle)
+        check_tick(core)
+
+    return checked_tick, _never_quiet
 
 
 class SpecializedEngine:
-    """Engine over one ``System``: per-core specialized closures plus a
-    run loop mirroring ``System.run_ticked``'s fast-forward structure."""
+    """Engine over one ``System``: per-core specialized closures plus
+    the single- and multi-core fast-forwarding run loops."""
 
     __slots__ = ("system", "_cores", "_ticks", "_quiets", "compiled")
 
     def __init__(self, system) -> None:
         self.system = system
         self._cores: List[Core] = list(system.cores)
-        self.compiled: List[CompiledTrace] = [
-            compile_trace(core.trace) for core in self._cores]
+        check_tick = None if system.sanitizer is None \
+            else system.sanitizer.check_tick
+        self.compiled: List[CompiledTrace] = []
         self._ticks = []
         self._quiets = []
-        for core, compiled in zip(self._cores, self.compiled):
-            tick, quiet = _specialize_core(core, compiled)
+        for core in self._cores:
+            compiled = compile_trace(core.trace)
+            if core._twins is not None:
+                # NOP-twin rows are rewritten during the run
+                compiled = compiled.private_copy()
+            tick, quiet = _specialize_core(core, compiled, check_tick)
+            self.compiled.append(compiled)
             self._ticks.append(tick)
             self._quiets.append(quiet)
 
@@ -1226,24 +1344,7 @@ class SpecializedEngine:
         return cycle
 
 
-def build_engine(system) -> Optional[SpecializedEngine]:
-    """Compile a specialized engine for ``system``, or ``None`` when the
-    system must stay on the generic loop (sanitizer attached — it
-    shadows ``Core.tick`` through the instance dict — or a defense
-    outside the specialized families).
-
-    Adversarial traces (any transient uop) and mutated defenses
-    (``SystemConfig.defense_mutation``) also stay generic: the NOP-twin
-    substitution and the weakened scheme hooks live in ``Core``'s
-    dispatch/issue methods, which the compiled closures bypass.  Both
-    are security-evaluation paths (``repro attack``), never performance
-    cells, so they cost the specialization nothing."""
-    if system.sanitizer is not None:
-        return None
-    if system.config.defense not in SPECIALIZED_DEFENSES:
-        return None
-    if system.config.defense_mutation:
-        return None
-    if any(trace.has_transient for trace in system.workload.traces):
-        return None
+def build_engine(system) -> SpecializedEngine:
+    """Compile the engine that runs ``system`` (every configuration has
+    one; see ``_specialize_core`` for the per-core variants)."""
     return SpecializedEngine(system)

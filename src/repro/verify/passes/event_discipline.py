@@ -40,8 +40,8 @@ CYCLE_OWNER_SUFFIX = "common/events.py"
 
 #: functions allowed to write time: the run loops assign the cycle they
 #: are executing, __init__ establishes cycle zero
-CYCLE_WRITER_FUNCS = {"__init__", "run", "run_ticked", "run_reference",
-                      "tick", "tick_reference", "_run_single", "_run_multi"}
+CYCLE_WRITER_FUNCS = {"__init__", "run", "run_reference", "tick",
+                      "tick_reference", "_run_single", "_run_multi"}
 
 CYCLE_SCOPED_PACKAGES = {"core", "mem", "pinning", "security", "sim",
                          "chaos", "common"}

@@ -1,7 +1,8 @@
 """wakeup-contract: wake-relevant mutations must re-arm the dirty bit.
 
 The event-driven fast-forward (``System.run`` skipping cycles a defended
-core proves quiet via ``Core.quiet_until``) is sound only under one
+core proves quiet via the engine's quiet closure,
+``repro.sim.engine._make_quiet``) is sound only under one
 contract: **every mutation that can change the next value-predictable
 cycle — VP frontier membership, taint/root tracking, pin/CST/CPT state,
 LQ/SQ allocation — must re-arm ``Core._wake_pending``**, either directly
@@ -81,7 +82,8 @@ WAKE_OBJECT_METHODS = {
 #: ``__init__`` runs during construction (before any tick can sleep);
 #: ``tick``/``tick_reference`` are the per-cycle entry points — any
 #: state they move is observed by the very cycle executing them, and
-#: ``Core.tick`` owns the flag's clear/handoff itself.
+#: the engine's per-core ``tick`` closure (``repro.sim.engine.
+#: _specialize_core``) owns the flag's clear/handoff itself.
 WAKE_EXEMPT_ROOTS = {"__init__", "tick", "tick_reference"}
 
 WAKE_FLAG = "_wake_pending"
@@ -198,7 +200,7 @@ class WakeupContractPass(AnalysisPass):
             return []
         # the call graph spans *all* analyzed files so that callers
         # outside the scoped packages (e.g. sim/system.py driving
-        # core.tick) still count as coverage evidence
+        # core.tick_reference) still count as coverage evidence
         graph = CallGraph(f for f in ctx.files if f.tree is not None)
         rearming: Set[str] = {
             name for name, nodes in graph.functions.items()

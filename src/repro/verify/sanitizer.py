@@ -30,7 +30,9 @@ A violation raises :class:`repro.common.errors.InvariantViolation`
 carrying the suffix of the sanitizer's event trace, so the failing
 interleaving can be reconstructed.
 
-The instrumentation is pure instance-attribute wrapping: nothing on the
+The instrumentation is instance-attribute wrapping plus one per-tick
+hook (``check_tick``) that the run loop calls after every tick of a
+sanitized system, which it then never fast-forwards.  Nothing on the
 hot path changes when ``sanitize`` is off (see
 ``benchmarks/test_sanitizer_overhead.py`` for the measured cost when on).
 """
@@ -190,7 +192,6 @@ class Sanitizer:
         orig_on_inval = core.on_invalidation
         orig_on_evicted = core.on_line_evicted
         orig_note_vp = core.note_vp_reached
-        orig_tick = core.tick
         orig_cpt_insert = controller.cpt.insert
         orig_cpt_remove = controller.cpt.remove
         cpt = controller.cpt
@@ -245,11 +246,6 @@ class Sanitizer:
                 self._check_vp_conditions(core, entry)
             return orig_note_vp(entry)
 
-        def tick(cycle):
-            result = orig_tick(cycle)
-            self._check_per_tick(core, controller)
-            return result
-
         def cpt_insert(line, writer=None):
             self._record(f"cpt+ core={core.core_id} line={line:#x}")
             result = orig_cpt_insert(line, writer=writer)
@@ -265,7 +261,6 @@ class Sanitizer:
         core.on_invalidation = on_invalidation
         core.on_line_evicted = on_line_evicted
         core.note_vp_reached = note_vp_reached
-        core.tick = tick
         controller._pin = pin
         controller._unpin = unpin
         controller.cpt.insert = cpt_insert
@@ -384,7 +379,10 @@ class Sanitizer:
                        if older.index < entry.index)
         return False
 
-    def _check_per_tick(self, core, controller) -> None:
+    def check_tick(self, core) -> None:
+        """Per-tick invariants; the run loop (``repro.sim.engine``)
+        calls this after every tick of every live core."""
+        controller = core.controller
         if len(core.write_buffer) > core.write_buffer.capacity:
             self._fail(
                 "write-buffer-bound",

@@ -1,17 +1,18 @@
-"""Randomized soundness of the ``Core.quiet_until`` wakeup contract.
+"""Randomized soundness of the engine's quiet-bound wakeup contract.
 
-``System.run`` fast-forwards over cycles every live core declares quiet.
-Since the defended schemes (fence/DOM/STT x Comp/LP/EP/Spectre) now
-participate via the ``_wake_pending`` dirty flag, the property that
-keeps the optimization honest is: for *any* generated workload and *any*
-scheme, with or without chaos fault injection, the optimized loop must
-be indistinguishable from the cycle-by-cycle reference loop — equal
-cycle counts and equal per-core pipeline *and* pinning statistics.
+``System.run`` fast-forwards over cycles every live core declares quiet
+(``repro.sim.engine._make_quiet``).  Since the defended schemes
+(fence/DOM/STT x Comp/LP/EP/Spectre) participate via the
+``_wake_pending`` dirty flag, the property that keeps the optimization
+honest is: for *any* generated workload and *any* scheme, with or
+without chaos fault injection, the engine must be indistinguishable
+from the cycle-by-cycle reference loop — equal cycle counts and equal
+per-core pipeline *and* pinning statistics.
 
 A second property pins down the escape hatch: sanitized runs
-(``config.sanitize``) must still visit every single cycle, because the
-sanitizer's invariant checks are per-tick observations that a skipped
-cycle would silently drop.
+(``config.sanitize``) must still tick and check every single cycle,
+because the sanitizer's invariant checks are per-tick observations that
+a skipped cycle would silently drop.
 """
 
 import dataclasses
@@ -103,21 +104,24 @@ class TestSanitizedRunsNeverSkip:
            seed=st.integers(min_value=1, max_value=50),
            label=st.sampled_from(sorted(SCHEMES)))
     def test_sanitized_run_visits_every_cycle(self, profile, seed, label):
-        """With the sanitizer attached, ``run`` must tick every cycle:
-        its per-tick invariant checks only cover cycles that happen."""
+        """With the sanitizer attached, ``run`` must tick every cycle and
+        run the per-tick check after each: its invariants only cover
+        cycles that happen."""
         workload = build_workload(profile, seed=seed,
                                   instructions_per_thread=200)
         config = dataclasses.replace(SCHEMES[label], sanitize=True)
         system = System(config, workload)
         system.mem.warm(workload)
-        visited = set()
+        sanitizer = system.sanitizer
+        checked = {core.core_id: [] for core in system.cores}
+
+        # shadow the per-tick check on the instance before the first
+        # ``run`` builds the engine, which binds it
+        def recording_check(core, _inner=sanitizer.check_tick):
+            checked[core.core_id].append(system.events.now)
+            return _inner(core)
+        sanitizer.check_tick = recording_check
+        system.run()
         for core in system.cores:
-            # shadow the (already sanitizer-wrapped) bound tick with a
-            # recording wrapper; Core carries __dict__ exactly so such
-            # instance-level shims are possible
-            def recording_tick(cycle, _inner=core.tick):
-                visited.add(cycle)
-                return _inner(cycle)
-            core.tick = recording_tick
-        cycles = system.run()
-        assert visited == set(range(1, cycles + 1)), label
+            assert checked[core.core_id] \
+                == list(range(1, core.done_cycle + 1)), label
