@@ -321,22 +321,6 @@ def _cmd_verify_trace(args) -> int:
     return 0
 
 
-def _cmd_verify_lint(args) -> int:
-    from pathlib import Path
-
-    from repro.verify.lint import lint_paths
-    paths = [Path(p) for p in args.paths] or [Path(__file__).parent]
-    for path in paths:
-        if not path.exists():
-            raise SystemExit(f"repro verify lint: no such path: {path}")
-    findings = lint_paths(paths)
-    for finding in findings:
-        print(finding)
-    print(f"{len(findings)} finding(s) in "
-          f"{', '.join(str(p) for p in paths)}")
-    return 1 if findings else 0
-
-
 def _cmd_verify_analyze(args) -> int:
     import json
     import sys
@@ -476,41 +460,15 @@ def _cmd_serve(args) -> int:
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s")
-    fabric = None
-    peers = None
-    if args.ring:
-        from repro.common.errors import BadRequestError
-        from repro.service.fabric import HashRing, parse_ring
-        try:
-            members = parse_ring(args.ring)
-            if args.shard_index is None:
-                raise BadRequestError("--ring needs --shard-index "
-                                      "(which member this process is)")
-            if not 0 <= args.shard_index < len(members):
-                raise BadRequestError(
-                    f"--shard-index {args.shard_index} out of range "
-                    f"for a {len(members)}-member ring")
-            ring = HashRing(members)
-        except BadRequestError as error:
-            raise SystemExit(f"repro serve: {error}")
-        peers = [url for index, url in enumerate(members)
-                 if index != args.shard_index]
-        fabric = {"ring": members,
-                  "shard": members[args.shard_index],
-                  "shard_index": args.shard_index,
-                  "stats": ring.describe()}
-    elif args.shard_index is not None:
-        raise SystemExit("repro serve: --shard-index needs --ring")
     supervisor = Supervisor(
         args.root, jobs=args.jobs, queue_capacity=args.queue_capacity,
         timeout_s=args.timeout, retries=args.retries,
         worker_memory_mb=args.worker_memory_mb,
         checkpoint_interval=args.checkpoint_interval,
         fsync=not args.no_fsync,
-        tenant_capacity=args.tenant_capacity,
-        peers=peers)
+        tenant_capacity=args.tenant_capacity)
     try:
-        serve(supervisor, host=args.host, port=args.port, fabric=fabric)
+        serve(supervisor, host=args.host, port=args.port)
     except OSError as error:
         raise SystemExit(f"repro serve: cannot listen on "
                          f"{args.host}:{args.port}: {error}")
@@ -520,7 +478,7 @@ def _cmd_serve(args) -> int:
 def _cmd_submit(args) -> int:
     import json
 
-    from repro.common.errors import BadRequestError, ServiceError
+    from repro.common.errors import ServiceError
     from repro.service import JobSpec, ServiceClient
     try:
         chaos = json.loads(args.chaos) if args.chaos else None
@@ -532,14 +490,7 @@ def _cmd_submit(args) -> int:
         spec.resolve()  # reject bad cells before touching the network
     except ValueError as error:
         raise SystemExit(f"repro submit: {error}")
-    if args.fabric:
-        from repro.service.fabric import FederatedClient
-        try:
-            client = FederatedClient(args.fabric)
-        except BadRequestError as error:
-            raise SystemExit(f"repro submit: {error}")
-    else:
-        client = ServiceClient(args.url)
+    client = ServiceClient(args.url)
     try:
         if args.wait:
             result = client.run(spec, timeout_s=args.wait_timeout)
@@ -708,13 +659,15 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_p.set_defaults(func=_cmd_verify_analyze)
 
     lint_p = verify_sub.add_parser(
-        "lint", help="determinism/idiom lint over the sources "
-                     "(compatible alias for the analyze framework's "
-                     "lint pass)")
+        "lint", help="determinism/idiom lint over the sources (exactly "
+                     "`verify analyze --passes lint`)")
     lint_p.add_argument("paths", nargs="*",
                         help="files/directories (default: the installed "
                         "repro package)")
-    lint_p.set_defaults(func=_cmd_verify_lint)
+    lint_p.set_defaults(func=_cmd_verify_analyze, passes="lint",
+                        json=False, out="", baseline="",
+                        update_baseline=False, manifest="",
+                        update_manifest=False)
 
     chaos_p = sub.add_parser(
         "chaos", help="seeded fault-injection campaign (must be "
@@ -799,13 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--no-fsync", action="store_true",
                          help="skip fsync on journal appends (faster, "
                          "loses the last records on power failure)")
-    serve_p.add_argument("--ring", default="", metavar="URL,URL,...",
-                         help="federate: full shard URL list of the "
-                         "consistent-hash ring this process belongs to "
-                         "(peers get store read-through; /ring reports "
-                         "the layout)")
-    serve_p.add_argument("--shard-index", type=int, default=None,
-                         help="this process's index into --ring")
     serve_p.add_argument("--tenant-capacity", type=int, default=None,
                          help="per-tenant admission quota (default: "
                          "no per-tenant bound)")
@@ -827,10 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="ChaosConfig fields as a JSON object")
     submit_p.add_argument("--priority", type=int, default=5,
                           help="0=interactive .. 10=bulk (default 5)")
-    submit_p.add_argument("--fabric", default="", metavar="URL,URL,...",
-                          help="submit through the federated ring of "
-                          "shard URLs instead of a single --url "
-                          "(consistent-hash routing + replica failover)")
     submit_p.add_argument("--tenant", default="default",
                           help="tenant name for fair-share accounting "
                           "(default 'default')")

@@ -35,10 +35,5 @@ def slice_of(line: int, num_slices: int) -> int:
     return ((line * 0x9E3779B1) >> 16) % num_slices
 
 
-def dir_set_index(line: int, num_sets: int) -> int:
-    """Set index of ``line`` within its directory/LLC slice."""
-    return (line // 1) & (num_sets - 1)
-
-
 def offset_in_line(addr: int) -> int:
     return addr & (LINE_BYTES - 1)

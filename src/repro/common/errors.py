@@ -69,8 +69,6 @@ class ServiceError(ReproError):
     ``quota-exceeded``       429   this tenant's fair-share quota is full
     ``rejecting``            503   service degraded to reject-only
     ``draining``             503   service is draining; submissions refused
-    ``shard-unavailable``    503   every replica of a job's ring slot is
-                                   unreachable (federation only)
     ``job-failed``           500   the simulation itself failed (see detail)
     ``internal``             500   unexpected server-side error
     =====================  ======  ========================================
@@ -154,18 +152,6 @@ class DrainingError(ServiceError):
     http_status = 503
 
 
-class ShardUnavailableError(ServiceError):
-    """Every replica of a job's consistent-hash ring slot is
-    unreachable: the ``FederatedClient`` walked the whole replica set
-    and each shard failed with a connection-level error.  Raised
-    client-side by ``repro.service.fabric`` (it never crosses the wire
-    from a single shard) but part of the documented taxonomy so
-    ``repro submit --fabric`` exit paths stay structured."""
-
-    code = "shard-unavailable"
-    http_status = 503
-
-
 class JobFailedError(ServiceError):
     """The job ran and failed (simulation error, timeout after all
     retries, invariant violation).  Carries the failure kind/message."""
@@ -177,7 +163,7 @@ class JobFailedError(ServiceError):
 _SERVICE_ERRORS = {cls.code: cls for cls in (
     BadRequestError, JobNotFoundError, QueueFullError,
     QuotaExceededError, RejectingError, DrainingError,
-    ShardUnavailableError, JobFailedError, ServiceError)}
+    JobFailedError, ServiceError)}
 
 
 class DeadlockError(SimulationError):

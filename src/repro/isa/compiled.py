@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from repro.isa.trace import Trace, Workload
+from repro.isa.trace import Trace
 from repro.isa.uops import MicroOp, OpClass
 
 #: Stable opcode bytes; order mirrors the ``OpClass`` declaration.
@@ -116,12 +116,6 @@ class CompiledTrace:
         copy.uops = list(self.uops)
         return copy
 
-    def deps_of(self, index: int) -> Tuple[int, ...]:
-        """Operand producers of uop ``index`` (diagnostics; the engine
-        iterates the CSR arrays directly)."""
-        return tuple(self.deps_flat[self.deps_start[index]:
-                                    self.deps_start[index + 1]])
-
 
 #: Per-trace memo: traces are immutable, so the decode is shared by
 #: every system bound to the same workload (sweep repeats, lockstep
@@ -136,8 +130,3 @@ def compile_trace(trace: Trace) -> CompiledTrace:
         compiled = CompiledTrace(trace)
         _COMPILED[trace] = compiled
     return compiled
-
-
-def compile_workload(workload: Workload) -> List[CompiledTrace]:
-    """One ``CompiledTrace`` per thread, in core order."""
-    return [CompiledTrace(trace) for trace in workload.traces]

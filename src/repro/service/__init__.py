@@ -3,16 +3,12 @@
 The layer above the self-healing executor: a durable write-ahead
 journal of job transitions, bounded admission with backpressure and
 per-tenant fair share, a supervising watchdog with staged degradation,
-and a localhost HTTP front end.  ``repro.service.fabric`` federates N
-such shards behind one consistent-hash-routing client with replica
-failover and store read-through.  See ``docs/resilience.md`` ("The job
-service" and "Federation") for the journal format, state machine,
-degradation ladder, error taxonomy, and the ring/replica contract.
+a localhost HTTP front end, and ``ServiceClient``, its one client.
+See ``docs/resilience.md`` ("The job service") for the journal format,
+state machine, degradation ladder, and error taxonomy.
 """
 
 from repro.service.client import ServiceClient
-from repro.service.fabric import (FaultProxy, FederatedClient, HashRing,
-                                  parse_ring)
 from repro.service.jobs import (PRIORITY_BULK, PRIORITY_DEFAULT,
                                 PRIORITY_INTERACTIVE, JobSpec, build_cell)
 from repro.service.journal import (JOURNAL_FORMAT_VERSION, Journal,
@@ -23,9 +19,8 @@ from repro.service.supervisor import DEGRADATION_LADDER, Supervisor
 
 __all__ = [
     "AdmissionQueue", "DEFAULT_TENANT", "DEGRADATION_LADDER",
-    "FaultProxy", "FederatedClient", "HashRing",
     "JOURNAL_FORMAT_VERSION", "JobSpec", "Journal", "PRIORITY_BULK",
     "PRIORITY_DEFAULT", "PRIORITY_INTERACTIVE", "ServiceClient",
-    "ServiceServer", "Supervisor", "build_cell", "parse_ring",
-    "reduce_records", "serve",
+    "ServiceServer", "Supervisor", "build_cell", "reduce_records",
+    "serve",
 ]

@@ -11,12 +11,6 @@ A deliberately boring, stdlib-only surface over the supervisor:
   embedded) or the timeout elapses (``{"jobs": {}, "pending": [...]}``)
   — the streaming feed that lets sweep clients stop fixed-interval
   polling
-* ``GET /store/<key>`` — raw local ``ResultStore`` payload (format
-  marker + result + checksum); peer shards read-through this for
-  store federation.  Local-only by contract: never triggers a further
-  peer fetch.
-* ``GET /ring``     — this shard's view of the federation (ring
-  member URLs, its own index, ring stats); 404 on a standalone server
 * ``GET /healthz``  — liveness (200 while the process serves requests)
 * ``GET /readyz``   — readiness (503 while draining or reject-only)
 * ``GET /stats``    — supervisor counters, queue depth, level
@@ -142,22 +136,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return 200, {"ready": True, "level": supervisor.level}
         if path == "/stats":
             return 200, supervisor.stats()
-        if path == "/ring":
-            fabric = getattr(self.server, "fabric", None)
-            if fabric is None:
-                raise JobNotFoundError(
-                    "this server is standalone (started without "
-                    "--ring); no federation info to report")
-            return 200, fabric
         if path == "/jobs":
             return self._route_watch(query)
-        if path.startswith("/store/"):
-            key = path[len("/store/"):]
-            payload = supervisor.store_payload(key)
-            if payload is None:
-                raise JobNotFoundError(f"no stored result for "
-                                       f"{key[:16]}")
-            return 200, payload
         if path.startswith("/jobs/"):
             job_id = path[len("/jobs/"):]
             doc = supervisor.status(job_id)
@@ -214,32 +194,25 @@ def _not_ready(why: str) -> ServiceError:
 
 
 class ServiceServer(ThreadingHTTPServer):
-    """``ThreadingHTTPServer`` carrying its supervisor and (when the
-    process is one shard of a federation) its ring description, served
-    verbatim at ``GET /ring``."""
+    """``ThreadingHTTPServer`` carrying its supervisor."""
 
     daemon_threads = True
 
     def __init__(self, address: Tuple[str, int],
-                 supervisor: Supervisor,
-                 fabric: Optional[Dict[str, Any]] = None) -> None:
+                 supervisor: Supervisor) -> None:
         super().__init__(address, ServiceHandler)
         self.supervisor = supervisor
-        self.fabric = fabric
 
 
 def serve(supervisor: Supervisor, host: str = "127.0.0.1",
           port: int = 8321,
-          install_signal_handlers: bool = True,
-          fabric: Optional[Dict[str, Any]] = None) -> None:
+          install_signal_handlers: bool = True) -> None:
     """Run the service until it drains (SIGTERM/SIGINT/``POST /drain``).
 
     Blocks the calling thread.  The supervisor is started if its worker
-    thread is not already running.  ``fabric`` (from ``repro serve
-    --ring``) is the shard's federation descriptor, exposed at
-    ``GET /ring``.
+    thread is not already running.
     """
-    server = ServiceServer((host, port), supervisor, fabric=fabric)
+    server = ServiceServer((host, port), supervisor)
     supervisor.start()
     done = threading.Event()
 

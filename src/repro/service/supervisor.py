@@ -75,8 +75,7 @@ class Supervisor:
                  recover_after: int = 3,
                  probe_after_s: float = 10.0,
                  fsync: bool = True,
-                 tenant_capacity: Optional[int] = None,
-                 peers: Optional[List[str]] = None) -> None:
+                 tenant_capacity: Optional[int] = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.root = os.fspath(root)
@@ -102,12 +101,6 @@ class Supervisor:
         self.queue = AdmissionQueue(queue_capacity,
                                     job_seconds=self._avg_job_seconds,
                                     tenant_capacity=tenant_capacity)
-        self.peers = list(peers or [])
-        if self.peers and self.cache.store is not None:
-            # store federation: a local miss read-throughs the peer
-            # shards' /store endpoints and fills locally (flock'd)
-            from repro.service.fabric.store import peer_fetcher
-            self.cache.store.peer_fetch = peer_fetcher(self.peers)
 
         self._lock = threading.RLock()
         #: Signaled (under ``_lock``) on every job state transition;
@@ -303,22 +296,14 @@ class Supervisor:
         result = store.get(job_id) if store is not None else None
         return result.to_dict() if result is not None else None
 
-    def store_payload(self, key: str) -> Optional[Dict[str, Any]]:
-        """Raw local store payload for ``key`` (what ``GET /store/<key>``
-        serves to peer shards).  Local-only by contract — never falls
-        through to peers, so cross-shard fetch chains always terminate."""
-        store = self.cache.store
-        return store.payload(key) if store is not None else None
-
     def wait_for(self, job_ids: List[str],
                  timeout_s: float = 30.0) -> Dict[str, Dict[str, Any]]:
         """Long-poll primitive behind ``GET /jobs?watch=``: block until
         at least one of ``job_ids`` is terminal (``done``/``failed``),
         then return every terminal one's status doc; ``{}`` when
         ``timeout_s`` elapses first.  Raises ``JobNotFoundError`` for an
-        id that was never submitted here (the watcher is confused or the
-        ring routed it to a different shard — either way, tell it now
-        rather than stalling it for the full timeout)."""
+        id that was never submitted here (the watcher is confused —
+        tell it now rather than stalling it for the full timeout)."""
         timeout_s = max(timeout_s, 0.0)
         deadline = time.monotonic() + timeout_s  # repro: allow-wall-clock
         with self._changed:
@@ -366,7 +351,6 @@ class Supervisor:
                 entry["status"] for entry in self._state.values())
             inflight = sorted(self._inflight)
             counters = dict(self.counters)
-        store = self.cache.store
         return {
             "level": self.level,
             "draining": self.draining,
@@ -374,8 +358,6 @@ class Supervisor:
             "queue_depth": len(self.queue),
             "queue_capacity": self.queue.capacity,
             "queue_tenants": self.queue.tenants(),
-            "peers": list(self.peers),
-            "peer_fills": store.peer_fills if store is not None else 0,
             "inflight": [job[:16] for job in inflight],
             "avg_job_seconds": round(self._avg_job_seconds(), 3),
             "uptime_s": round(

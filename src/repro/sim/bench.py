@@ -542,41 +542,6 @@ def run_hotloop_bench(hot_apps: List[str], hot_schemes: List[str],
     return record
 
 
-def run_fabric_sweep(urls: List[str], apps: List[str],
-                     schemes: List[str], instructions: int = 2000,
-                     threads: int = 1, timeout_s: float = 600.0,
-                     jitter_seed: int = 0,
-                     tenant: str = "default") -> Dict[str, object]:
-    """Run an apps x schemes sweep through a federated shard ring.
-
-    The fabric-side sweep entry point (used by the CI ``fabric-smoke``
-    job): builds the ``JobSpec`` grid, routes it through a
-    ``FederatedClient`` (consistent-hash primaries, replica failover,
-    idempotent resubmission), and returns a record with per-cell cycle
-    counts plus ring/failover statistics.  Cycle counts are
-    bit-identical to a local ``Executor`` sweep of the same grid —
-    federation changes *where* cells run, never what they compute.
-    """
-    from repro.service import PRIORITY_BULK, JobSpec
-    from repro.service.fabric import FederatedClient
-
-    specs = [JobSpec(workload=app, scheme=scheme,
-                     instructions=instructions, threads=threads,
-                     priority=PRIORITY_BULK, tenant=tenant)
-             for app in apps for scheme in schemes]
-    fabric = FederatedClient(urls, jitter_seed=jitter_seed)
-    results = fabric.run_all(specs, timeout_s=timeout_s)
-    cells = {f"{spec.workload}/{spec.scheme}":
-             {"job": spec.job_id(),
-              "cycles": results[spec.job_id()].cycles}
-             for spec in specs}
-    return {
-        "bench": "fabric-sweep",
-        "cells": cells,
-        "fabric": fabric.stats(),
-    }
-
-
 def compare_records(old: Dict[str, object], new: Dict[str, object],
                     min_ratio: float = 0.9) -> Dict[str, object]:
     """Diff two bench records' hot-loop matrices (``repro bench

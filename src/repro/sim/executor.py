@@ -36,7 +36,7 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 try:
     import fcntl
@@ -138,18 +138,10 @@ def cache_key(config: SystemConfig, workload: Workload) -> str:
     return h.hexdigest()
 
 
-def result_checksum(result_doc: Dict) -> str:
-    """Integrity checksum over the canonical result document.
-
-    Public because store federation peers (``repro.service.fabric``)
-    re-verify fetched payloads with the same checksum before filling
-    their local store.
-    """
+def _result_checksum(result_doc: Dict) -> str:
+    """Integrity checksum over the canonical result document."""
     text = json.dumps(result_doc, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-_result_checksum = result_checksum  # backwards-compatible alias
 
 
 class ResultStore:
@@ -165,27 +157,11 @@ class ResultStore:
     undecodable result) behaves like a miss, and the damaged file is
     moved — once — to ``<root>/quarantine/`` for postmortems instead of
     being re-read and re-rejected on every future lookup.
-
-    **Federation (read-through peers).**  An optional ``peer_fetch``
-    callable turns a local miss into a peer lookup: ``get`` calls
-    ``peer_fetch(key)`` (which must return a *validated* ``SimResult``
-    or ``None`` — ``repro.service.fabric.store.peer_fetcher`` builds
-    one over the shards' ``GET /store/<key>`` endpoints) and fills the
-    local store through the ordinary ``put`` path, i.e. under the same
-    advisory flock + atomic-rename discipline as any local writer, so
-    a peer fill can never race a concurrent quarantine or writer.
-    ``payload`` is the serving side: a local-only read of the raw
-    wire document that never consults peers, which is what makes
-    A→B→A fetch loops impossible by construction.
     """
 
-    def __init__(self, root: str,
-                 peer_fetch: Optional[
-                     Callable[[str], Optional[SimResult]]] = None) -> None:
+    def __init__(self, root: str) -> None:
         self.root = os.fspath(root)
         self._dir = os.path.join(self.root, f"v{CACHE_FORMAT_VERSION}")
-        self.peer_fetch = peer_fetch
-        self.peer_fills = 0
 
     def _path(self, key: str) -> str:
         return os.path.join(self._dir, key[:2], f"{key}.json")
@@ -270,37 +246,11 @@ class ResultStore:
 
     def get(self, key: str) -> Optional[SimResult]:
         """Load the stored result for ``key``; ``None`` when absent or
-        corrupt.  Corrupt entries are quarantined (see class docs).
-        With ``peer_fetch`` configured, a local miss falls through to
-        the peers and a hit is filled into the local store."""
+        corrupt.  Corrupt entries are quarantined (see class docs)."""
         result, corrupt_reason = self._read_entry(key)
         if corrupt_reason is not None:
             self._quarantine(key, corrupt_reason)
-        if result is not None or self.peer_fetch is None:
-            return result
-        fetched = self.peer_fetch(key)
-        if fetched is not None:
-            self.put(key, fetched)  # local fill, flock'd like any write
-            self.peer_fills += 1
-        return fetched
-
-    def payload(self, key: str) -> Optional[Dict]:
-        """The raw wire payload (format marker + result + checksum) of a
-        *locally* stored entry, or ``None``.  Never consults peers —
-        this is what ``GET /store/<key>`` serves, so a fetch chain
-        always terminates at local disk."""
-        path = self._path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict) \
-                or payload.get("format") != CACHE_FORMAT_VERSION \
-                or payload.get("checksum") != result_checksum(
-                    payload.get("result", {})):
-            return None
-        return payload
+        return result
 
     def put(self, key: str, result: SimResult) -> None:
         directory = os.path.dirname(self._path(key))

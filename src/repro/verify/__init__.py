@@ -10,10 +10,9 @@ Three independent passes, surfaced through ``python -m repro verify``:
   (``SystemConfig(sanitize=True)``) hooked into the live simulator;
   violations raise :class:`repro.common.errors.InvariantViolation` with
   the recent event trace attached.
-* :mod:`repro.verify.lint` — an AST pass over the sources flagging
-  simulation-determinism hazards and type-hint defects.
 * :mod:`repro.verify.passes` — the multi-pass static analysis framework
-  (``repro verify analyze``): the lint plus the wakeup-contract,
+  (``repro verify analyze``): the lint (rules in
+  :mod:`repro.verify.lint`) plus the wakeup-contract,
   checkpoint-safety, determinism, service-taxonomy, and
   event-discipline passes, with unified waivers, a committed baseline,
   and a JSON report.
@@ -23,13 +22,11 @@ Every protocol or pinning change must keep ``repro verify model`` and
 """
 
 from repro.verify.explorer import ExplorationResult, explore
-from repro.verify.lint import Finding, lint_paths, lint_source
 from repro.verify.model import ModelConfig, PinnedProtocolModel
 from repro.verify.passes import Report, analyze_paths
 from repro.verify.sanitizer import Sanitizer
 
 __all__ = [
-    "ExplorationResult", "Finding", "ModelConfig", "PinnedProtocolModel",
-    "Report", "Sanitizer", "analyze_paths", "explore", "lint_paths",
-    "lint_source",
+    "ExplorationResult", "ModelConfig", "PinnedProtocolModel",
+    "Report", "Sanitizer", "analyze_paths", "explore",
 ]

@@ -1,10 +1,10 @@
-"""AST-based determinism and idiom lint for the simulator sources.
+"""The rules of the determinism and idiom lint (the ``lint`` pass).
 
 Simulation results must be a pure function of (configuration, workload,
 seed): the benchmark memoization (``ExperimentCache``), the figure
 regression tests, and cross-run comparisons all assume it.  This pass
-flags the constructs that silently break that property, plus the
-type-hint defect family that seeded this PR:
+flags the constructs that silently break that property, plus one
+type-hint defect family:
 
 * ``wall-clock``       — calls that read real time (``time.time``,
   ``time.perf_counter``, ``datetime.now``...).  Simulated time lives in
@@ -36,9 +36,11 @@ type-hint defect family that seeded this PR:
   dicts, or ``.items()``/``.keys()``/``.values()`` views) — slot-keyed
   state is meant to be walked through the rings and flat columns.
 
-A finding is waived by a trailing ``# repro: allow-<rule>`` comment on
-the offending line — e.g. the benchmark driver's timing reads carry
-``# repro: allow-wall-clock``.
+This module holds the rule visitor; ``repro.verify.passes.lint_pass``
+runs it under ``repro verify analyze`` (``repro verify lint`` is exactly
+``analyze --passes lint``).  A finding is waived by a trailing
+``# repro: allow-<rule>`` comment on the offending line — e.g. the
+benchmark driver's timing reads carry ``# repro: allow-wall-clock``.
 
 Known-set inference is deliberately shallow and name-based (a lint, not a
 type checker): set displays/constructors/comprehensions, locals assigned
@@ -50,9 +52,8 @@ annotation is a set type.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Set, Union
+from typing import List, Optional, Sequence, Set, Tuple
 
 #: Functions that read the wall clock, as ``module.attr`` paths.
 WALL_CLOCK_CALLS = {
@@ -119,21 +120,6 @@ RULES = {
 
 #: marker comment that opts a function into ``hot-path-allocation``
 HOT_FUNCTION_MARKER = "# repro: hot"
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One lint finding, pointing at a source location."""
-
-    path: str
-    line: int
-    col: int
-    rule: str
-    message: str
-
-    def __str__(self) -> str:
-        return (f"{self.path}:{self.line}:{self.col}: "
-                f"[{self.rule}] {self.message}")
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -223,14 +209,17 @@ def _is_hot_path(path: str) -> bool:
 
 
 class _Linter(ast.NodeVisitor):
+    """One module's rule walk.  ``findings`` collects ``(node, rule,
+    message)`` triples; ``LintPass`` turns them into framework findings
+    and the driver applies waivers."""
+
     def __init__(self, path: str, registry: _SetRegistry,
-                 lines: Optional[Sequence[str]] = None) -> None:
+                 lines: Sequence[str]) -> None:
         self.path = path
         self.registry = registry
-        self.findings: List[Finding] = []
+        self.findings: List[Tuple[ast.AST, str, str]] = []
         self._hot_path = _is_hot_path(path)
-        #: source lines, for the comment-marker rules (None in the rare
-        #: AST-only call paths: the marker rule is then inert)
+        #: source lines, for the comment-marker rules
         self._lines = lines
         #: per-function stack of local names inferred to hold sets
         self._set_locals: List[Set[str]] = [set()]
@@ -238,8 +227,7 @@ class _Linter(ast.NodeVisitor):
     # -- helpers -------------------------------------------------------
 
     def _emit(self, node: ast.AST, rule: str, message: str) -> None:
-        self.findings.append(Finding(self.path, node.lineno,
-                                     node.col_offset, rule, message))
+        self.findings.append((node, rule, message))
 
     def _is_known_set(self, node: ast.AST) -> bool:
         if isinstance(node, ast.Set) or isinstance(node, ast.SetComp):
@@ -284,8 +272,6 @@ class _Linter(ast.NodeVisitor):
     # -- hot-path allocation -------------------------------------------
 
     def _is_hot_function(self, node) -> bool:
-        if self._lines is None:
-            return False
         line = self._lines[node.lineno - 1] \
             if node.lineno - 1 < len(self._lines) else ""
         return HOT_FUNCTION_MARKER in line
@@ -498,66 +484,3 @@ class _Linter(ast.NodeVisitor):
             self.visit(node.func)
             return
         self.generic_visit(node)
-
-
-def _waived(finding: Finding, lines: Sequence[str]) -> bool:
-    """A ``# repro: allow-<rule>`` comment on the finding's line waives
-    it (narrowly: only that rule, only that line).  The matching logic
-    is the framework-wide one (``repro.verify.passes.waivers``)."""
-    from repro.verify.passes.waivers import is_waived
-    return is_waived(finding, lines)
-
-
-def lint_source_raw(source: str, path: str = "<string>",
-                    registry: Optional[_SetRegistry] = None,
-                    tree: Optional[ast.AST] = None) -> List[Finding]:
-    """Lint one module, *without* applying waivers.
-
-    The analysis framework calls this and applies the unified waiver
-    pass itself (so stale lint waivers are auditable); standalone
-    ``lint_source`` keeps the historical filtered behavior.
-    """
-    if tree is None:
-        tree = ast.parse(source, filename=path)
-    if registry is None:
-        registry = _SetRegistry()
-        registry.scan(tree)
-    linter = _Linter(path, registry, source.splitlines())
-    linter.visit(tree)
-    return linter.findings
-
-
-def lint_source(source: str, path: str = "<string>",
-                registry: Optional[_SetRegistry] = None) -> List[Finding]:
-    """Lint one module's source text."""
-    findings = lint_source_raw(source, path, registry)
-    lines = source.splitlines()
-    return [finding for finding in findings
-            if not _waived(finding, lines)]
-
-
-def lint_paths(paths: Iterable[Union[str, Path]]) -> List[Finding]:
-    """Lint every ``.py`` file under the given files/directories.
-
-    The known-set registry (annotated attributes and set-returning
-    functions) is built across *all* files first, so e.g. iteration over
-    ``DirEntry.holders()`` is flagged in ``coherence.py`` even though the
-    annotation lives in ``directory.py``.
-    """
-    files: List[Path] = []
-    for path in paths:
-        path = Path(path)
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
-        else:
-            files.append(path)
-    registry = _SetRegistry()
-    sources = {}
-    for file in files:
-        source = file.read_text()
-        sources[file] = source
-        registry.scan(ast.parse(source, filename=str(file)))
-    findings: List[Finding] = []
-    for file, source in sources.items():
-        findings.extend(lint_source(source, str(file), registry))
-    return findings

@@ -1,9 +1,9 @@
-"""The historical determinism/idiom lint, as a framework pass.
+"""The determinism/idiom lint, as a framework pass.
 
-``repro verify lint`` remains a compatible standalone entry point; under
-``repro verify analyze`` the same rules run through the shared driver so
-their waivers are audited and their findings are baselinable like any
-other pass's.
+The rules live in ``repro.verify.lint``; this pass is their only
+driver (``repro verify lint`` is ``repro verify analyze --passes
+lint``), so their waivers are audited and their findings are
+baselinable like any other pass's.
 """
 
 from __future__ import annotations
@@ -22,18 +22,17 @@ class LintPass(AnalysisPass):
     rules = dict(lint_mod.RULES)
 
     def run(self, ctx: PassContext) -> List[Finding]:
-        # the known-set registry spans all analyzed files, exactly as
-        # lint_paths builds it
+        parsed = [file for file in ctx.files if file.tree is not None]
+        # the known-set registry spans all analyzed files, so iteration
+        # over e.g. ``DirEntry.holders()`` is flagged in coherence.py
+        # although the annotation lives in directory.py
         registry = lint_mod._SetRegistry()
-        for file in ctx.files:
-            if file.tree is not None:
-                registry.scan(file.tree)
+        for file in parsed:
+            registry.scan(file.tree)
         findings: List[Finding] = []
-        for file in ctx.files:
-            if file.tree is None:
-                continue
-            for raw in lint_mod.lint_source_raw(
-                    file.text, file.path, registry, tree=file.tree):
-                findings.append(Finding(self.name, raw.rule, raw.path,
-                                        raw.line, raw.col, raw.message))
+        for file in parsed:
+            linter = lint_mod._Linter(file.path, registry, file.lines)
+            linter.visit(file.tree)
+            findings.extend(self.finding(file, node, rule, message)
+                            for node, rule, message in linter.findings)
         return findings

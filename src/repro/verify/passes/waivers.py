@@ -1,9 +1,8 @@
 """Unified ``# repro: allow-<rule>`` waiver handling.
 
-One implementation shared by every pass (and by the standalone lint
-entry point): a trailing ``# repro: allow-<rule>`` comment waives that
-rule's findings *on that line only*.  The driver additionally audits
-the waivers themselves:
+One implementation shared by every pass: a trailing
+``# repro: allow-<rule>`` comment waives that rule's findings *on that
+line only*.  The driver additionally audits the waivers themselves:
 
 * a waiver naming a rule no pass defines is an **error**
   (``unknown-waiver``) — it is dead weight that would silently fail to
@@ -64,15 +63,6 @@ def scan_waivers(file: SourceFile) -> List[Waiver]:
             waivers.append(Waiver(file.path, token.start[0],
                                   match.group(1)))
     return waivers
-
-
-def is_waived(finding: Finding, lines: Sequence[str]) -> bool:
-    """Line-local check used by the standalone lint entry point."""
-    if not 1 <= finding.line <= len(lines):
-        return False
-    text = lines[finding.line - 1]
-    return any(match.group(1) == finding.rule
-               for match in WAIVER_RE.finditer(text))
 
 
 def apply_waivers(

@@ -191,38 +191,6 @@ class TestBenchExitCodes:
                   "--instructions", "200", "--no-serial", "--out", ""])
 
 
-class TestServeRingExitCodes:
-    """Ring-config mistakes must die at argument time with a clear
-    message — never bind a port, never write a journal."""
-
-    def test_ring_without_shard_index_exits(self):
-        with pytest.raises(SystemExit, match="--shard-index"):
-            main(["serve", "--ring", "http://a:1,http://b:1"])
-
-    def test_shard_index_without_ring_exits(self):
-        with pytest.raises(SystemExit, match="--ring"):
-            main(["serve", "--shard-index", "0"])
-
-    def test_shard_index_out_of_range_exits(self):
-        with pytest.raises(SystemExit, match="out of range"):
-            main(["serve", "--ring", "http://a:1,http://b:1",
-                  "--shard-index", "2"])
-
-    def test_non_http_member_exits(self):
-        with pytest.raises(SystemExit, match="not an http"):
-            main(["serve", "--ring", "a:1,http://b:1",
-                  "--shard-index", "0"])
-
-    def test_duplicate_members_exit(self):
-        with pytest.raises(SystemExit, match="distinct"):
-            main(["serve", "--ring", "http://a:1,http://a:1/",
-                  "--shard-index", "0"])
-
-    def test_empty_ring_exits(self):
-        with pytest.raises(SystemExit, match="repro serve"):
-            main(["serve", "--ring", ",", "--shard-index", "0"])
-
-
 class TestSubmitExitCodes:
     def test_invalid_spec_rejected_before_any_network(self):
         with pytest.raises(SystemExit, match="unknown workload"):
@@ -247,32 +215,6 @@ class TestSubmitExitCodes:
                    "--instructions", "300"])
         assert rc == 1
         assert "repro submit" in capsys.readouterr().err
-
-    def test_bad_fabric_ring_exits_before_network(self):
-        with pytest.raises(SystemExit, match="repro submit"):
-            main(["submit", "mcf_r", "--fabric", "127.0.0.1:9"])
-
-    def test_unreachable_fabric_is_exit_one(self, capsys, monkeypatch):
-        # every shard client inherits the shrunk retry schedule; the
-        # whole-route failure surfaces as the documented 503
-        # shard-unavailable ServiceError, which maps to exit 1
-        from repro.service import client as client_mod
-        monkeypatch.setattr(
-            client_mod.ServiceClient, "__init__",
-            lambda self, base_url="", **_kw: (
-                setattr(self, "base_url", base_url.rstrip("/")),
-                setattr(self, "retries", 0),
-                setattr(self, "backoff_s", 0.01),
-                setattr(self, "backoff_cap_s", 0.01),
-                setattr(self, "timeout_s", 1.0),
-                setattr(self, "_rng", __import__("random").Random(0)),
-            ) and None)
-        rc = main(["submit", "mcf_r", "--instructions", "300",
-                   "--fabric", "http://127.0.0.1:9,http://127.0.0.1:11"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "repro submit" in err
-        assert "unreachable" in err
 
 
 class TestBenchCompareExitCodes:

@@ -3,12 +3,13 @@ backpressure, against an in-process ``ServiceServer`` on an ephemeral
 port."""
 
 import threading
+import time
 
 import pytest
 
 from repro.common.errors import (BadRequestError, DrainingError,
                                  JobNotFoundError, QueueFullError,
-                                 ServiceError)
+                                 RejectingError, ServiceError)
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec
 from repro.service.server import ServiceServer
@@ -133,6 +134,38 @@ def test_stats_endpoint(service):
     assert stats["level"] == "full"
     assert stats["queue_capacity"] == 64
     assert "counters" in stats
+
+
+def test_reject_probe_lifts_ladder_back_to_full(service):
+    """At the bottom rung nothing runs, so no success can climb the
+    ladder: only the watchdog's reject-level probe lifts the service
+    to ``serial``.  Jobs that then succeed climb it back to ``full``
+    with no restart."""
+    supervisor, client = service
+    with supervisor._lock:
+        supervisor.probe_after_s = 1.0
+        supervisor.recover_after = 1
+        for _ in range(3 * supervisor.degrade_after):
+            supervisor._note_failure("timeout")
+    assert supervisor.level == "reject"
+    # no retries: a retry would outwait the probe timer and see the
+    # recovered service instead of the rejection
+    blunt = ServiceClient(client.base_url, retries=0, timeout_s=10.0)
+    with pytest.raises(RejectingError):
+        blunt.submit(JobSpec(workload="mcf_r", instructions=200,
+                             threads=1))
+
+    deadline = time.monotonic() + 10.0
+    while supervisor.level == "reject" and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert supervisor.level == "serial", "the recovery probe never fired"
+
+    for instructions in (210, 220):
+        spec = JobSpec(workload="mcf_r", instructions=instructions,
+                       threads=1)
+        assert client.run(spec, timeout_s=60.0).cycles > 0
+    assert supervisor.level == "full"
+    assert supervisor.counters["recoveries"] == 3
 
 
 def test_client_backoff_honors_retry_after():

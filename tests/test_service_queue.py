@@ -1,5 +1,5 @@
 """Admission queue: priority order, dedup, backpressure, and the
-fair-share / per-tenant quota layer added for the federated fabric."""
+fair-share / per-tenant quota layer."""
 
 import threading
 
@@ -92,7 +92,7 @@ def test_priority_still_beats_fair_share():
 
 
 def test_single_tenant_keeps_exact_priority_fifo():
-    # the pre-fabric contract: one tenant degenerates to (priority, seq)
+    # the single-tenant contract: one tenant degenerates to (priority, seq)
     queue = AdmissionQueue(capacity=8)
     queue.push("bulk-1", 10)
     queue.push("interactive", 0)

@@ -1,9 +1,23 @@
 """The determinism/idiom lint: each rule fires on a minimal repro, stays
-quiet on the idiomatic fix, and the shipped sources are clean."""
+quiet on the idiomatic fix, and the shipped sources are clean.  Every
+case runs through ``LintPass`` under the analysis driver, so waivers are
+the framework's."""
 
 from pathlib import Path
 
-from repro.verify.lint import Finding, lint_paths, lint_source
+from repro.verify.passes import (Finding, SourceFile, analyze_paths,
+                                 analyze_sources)
+
+
+def lint_source(source, path="<string>"):
+    """The ``lint`` pass's findings on one module's source text."""
+    report = analyze_sources([SourceFile(path, source)], passes=["lint"])
+    return [f for f in report.findings if f.pass_name == "lint"]
+
+
+def lint_tree(paths):
+    """Every finding of ``analyze --passes lint`` over ``paths``."""
+    return analyze_paths(paths, passes=["lint"]).findings
 
 
 def rules_of(findings):
@@ -308,12 +322,12 @@ class TestWaivers:
 class TestOnTheRepository:
     def test_repro_package_is_clean(self):
         package = Path(__file__).resolve().parent.parent / "src" / "repro"
-        findings = lint_paths([package])
+        findings = lint_tree([package])
         assert findings == [], "\n".join(str(f) for f in findings)
 
     def test_findings_render_with_location(self):
-        finding = Finding("a.py", 3, 7, "wall-clock", "no clocks")
-        assert str(finding) == "a.py:3:7: [wall-clock] no clocks"
+        finding = Finding("lint", "wall-clock", "a.py", 3, 7, "no clocks")
+        assert str(finding) == "a.py:3:7: [lint/wall-clock] no clocks"
 
     def test_cross_file_registry(self, tmp_path):
         (tmp_path / "defs.py").write_text(
@@ -325,6 +339,6 @@ class TestOnTheRepository:
             "def f(entry):\n"
             "    for h in entry.holders():\n"
             "        print(h)\n")
-        findings = lint_paths([tmp_path])
+        findings = lint_tree([tmp_path])
         assert [f.rule for f in findings] == ["set-iteration"]
         assert findings[0].path.endswith("use.py")
