@@ -7,8 +7,6 @@ Commands:
 * ``breakdown``  — the Figure 1 per-condition overhead stack
 * ``workloads``  — list the available benchmark profiles
 * ``hardware``   — the Table 1 CST cost rows from the analytical model
-* ``bench``      — the executor/cache performance benchmark; writes
-  ``BENCH_executor.json`` (see ``docs/performance.md``)
 * ``verify``     — the verification passes (``model``, ``trace``,
   ``lint``, ``analyze``); see ``docs/verification.md``
 * ``chaos``      — the seeded fault-injection campaign (N seeds per
@@ -128,134 +126,6 @@ def _cmd_hardware(_args) -> int:
     table = cst_hardware_table()
     print(format_stat_table("Table 1: CST hardware cost at 22nm",
                             table))
-    return 0
-
-
-def _print_vs_baseline(vs) -> None:
-    per_scheme = ", ".join(
-        f"{label} {speedup}x"
-        for label, speedup in vs["per_scheme"].items())
-    print(f"vs baseline   : {vs['geomean_speedup']}x geomean "
-          f"({per_scheme}; cycle counts identical)")
-    if "defended_geomean_speedup" in vs:
-        print(f"vs baseline   : {vs['defended_geomean_speedup']}x "
-              f"defended geomean")
-
-
-def _cmd_bench_compare(args) -> int:
-    import json as _json
-    from repro.sim.bench import compare_records
-    old_path, new_path = args.compare
-    with open(old_path, "r", encoding="utf-8") as fh:
-        old = _json.load(fh)
-    with open(new_path, "r", encoding="utf-8") as fh:
-        new = _json.load(fh)
-    try:
-        comparison = compare_records(old, new, min_ratio=args.min_ratio)
-    except ValueError as error:
-        # exit 2 = the comparison itself is impossible (mismatched
-        # sweeps, wrong record shape) — distinct from 1 = it ran and
-        # found a regression, so CI can tell the two apart
-        print(f"repro bench --compare: {error}", file=sys.stderr)
-        return 2
-    print(f"comparing     : {old_path} -> {new_path} "
-          f"(min ratio {comparison['min_ratio']})")
-    for label, row in comparison["schemes"].items():
-        if row["ratio"] is None:
-            print(f"  {label:<14} {row['status']}")
-            continue
-        print(f"  {label:<14} {row['old_speedup']}x -> "
-              f"{row['new_speedup']}x  (ratio {row['ratio']}, "
-              f"{row['status']})")
-    if "defended_geomean" in comparison:
-        geo = comparison["defended_geomean"]
-        print(f"defended geo  : {geo['old']}x -> {geo['new']}x "
-              f"(ratio {geo['ratio']})")
-    if comparison["regressions"]:
-        print(f"FAIL: regressed scheme(s): "
-              f"{', '.join(comparison['regressions'])}")
-        return 1
-    print("no per-scheme regressions")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.sim.bench import (run_bench, run_hotloop_bench,
-                                 write_record)
-    if args.compare:
-        return _cmd_bench_compare(args)
-    apps = [a.strip() for a in args.apps.split(",") if a.strip()]
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    hot_apps = [a.strip() for a in args.hot_apps.split(",") if a.strip()]
-    hot_schemes = [s.strip() for s in args.hot_schemes.split(",")
-                   if s.strip()]
-    if args.hot_only:
-        try:
-            record = run_hotloop_bench(hot_apps, hot_schemes,
-                                       args.instructions,
-                                       baseline_src=args.baseline_src)
-        except (RuntimeError, AssertionError, ValueError) as error:
-            raise SystemExit(f"repro bench: {error}")
-        if args.out:
-            write_record(record, args.out)
-        hot = record["hot_loop"]
-        per_scheme = ", ".join(
-            f"{label} {entry['speedup']}x"
-            for label, entry in hot["per_scheme"].items())
-        print(f"hot loop      : {per_scheme}")
-        if "defended_geomean_speedup" in hot:
-            print(f"hot geomean   : {hot['defended_geomean_speedup']}x "
-                  f"vs reference across defended schemes on "
-                  f"{record['cpus']} cpu(s)")
-        if "hot_loop_vs_baseline" in record:
-            _print_vs_baseline(record["hot_loop_vs_baseline"])
-        if args.out:
-            print(f"record        : {args.out}")
-        return 0
-    try:
-        record = run_bench(apps, schemes, args.instructions, args.jobs,
-                           args.cache_dir, timeout_s=args.timeout,
-                           run_serial=not args.no_serial,
-                           baseline_src=args.baseline_src,
-                           hot_apps=hot_apps, hot_schemes=hot_schemes,
-                           profile=args.profile)
-    except (RuntimeError, AssertionError, ValueError) as error:
-        raise SystemExit(f"repro bench: {error}")
-    if args.out:
-        write_record(record, args.out)
-    print(f"tasks         : {record['tasks']} "
-          f"({len(apps)} apps x {len(schemes)} schemes, "
-          f"{record['instructions_per_app']} instructions)")
-    if "serial" in record:
-        print(f"serial        : {record['serial']['seconds']}s")
-        print(f"parallel x{args.jobs}   : "
-              f"{record['parallel_cold']['seconds']}s "
-              f"(speedup {record['parallel_speedup']}x on "
-              f"{record['cpus']} cpu(s); results bit-identical)")
-    else:
-        print(f"parallel x{args.jobs}   : "
-              f"{record['parallel_cold']['seconds']}s")
-    warm = record["warm"]
-    print(f"warm cache    : {warm['seconds']}s "
-          f"({warm['simulated']} re-simulated, "
-          f"{warm['cache_hits']} served from {args.cache_dir})")
-    hot = record["hot_loop"]
-    per_scheme = ", ".join(
-        f"{label} {entry['speedup']}x"
-        for label, entry in hot["per_scheme"].items())
-    print(f"hot loop      : {per_scheme}")
-    if "defended_geomean_speedup" in hot:
-        print(f"hot geomean   : {hot['defended_geomean_speedup']}x "
-              f"vs reference across defended schemes "
-              f"(cycle counts + stats identical per cell)")
-    if "hot_loop_vs_baseline" in record:
-        _print_vs_baseline(record["hot_loop_vs_baseline"])
-    if args.out:
-        print(f"record        : {args.out}")
-    if args.require_warm_reuse and warm["simulated"] != 0:
-        print(f"FAIL: warm pass re-simulated {warm['simulated']} task(s); "
-              f"expected full cache reuse")
-        return 1
     return 0
 
 
@@ -543,61 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     hardware_p = sub.add_parser("hardware", help="Table 1 CST rows")
     hardware_p.set_defaults(func=_cmd_hardware)
-
-    bench_p = sub.add_parser(
-        "bench", help="executor/cache performance benchmark")
-    bench_p.add_argument("--apps", default=",".join(
-        ("leela_r", "bwaves_r", "mcf_r", "namd_r")),
-        help="comma-separated SPEC17 app names")
-    bench_p.add_argument("--schemes",
-                         default="unsafe,fence-ep,dom-ep,stt-ep",
-                         help="comma-separated scheme labels "
-                         "(unsafe or scheme_grid cells)")
-    bench_p.add_argument("--instructions", type=int, default=4000,
-                         help="instructions per app (default 4000)")
-    bench_p.add_argument("--jobs", type=int, default=4,
-                         help="worker processes for the parallel phases")
-    bench_p.add_argument("--cache-dir", default=".repro-cache",
-                         help="persistent result store directory")
-    bench_p.add_argument("--timeout", type=float, default=None,
-                         help="per-task timeout in seconds")
-    bench_p.add_argument("--out", default="BENCH_executor.json",
-                         help="JSON record path ('' to skip writing)")
-    bench_p.add_argument("--no-serial", action="store_true",
-                         help="skip the serial baseline phase")
-    bench_p.add_argument("--require-warm-reuse", action="store_true",
-                         help="exit 1 unless the warm pass re-simulated "
-                         "nothing")
-    bench_p.add_argument("--baseline-src", default=None, metavar="SRC",
-                         help="src/ directory of another checkout (e.g. "
-                         "the pre-optimization seed) to time System.run "
-                         "against, in fixed-hash-seed subprocesses")
-    from repro.sim.bench import DEFAULT_HOT_APPS, DEFAULT_HOT_SCHEMES
-    bench_p.add_argument("--hot-apps", default=",".join(DEFAULT_HOT_APPS),
-                         help="comma-separated apps for the hot-loop "
-                         "matrix (default: %(default)s)")
-    bench_p.add_argument("--hot-schemes",
-                         default=",".join(DEFAULT_HOT_SCHEMES),
-                         help="comma-separated schemes for the hot-loop "
-                         "matrix (default: %(default)s)")
-    bench_p.add_argument("--profile", action="store_true",
-                         help="cProfile each phase; top-20 cumulative "
-                         "hotspots land in the JSON record")
-    bench_p.add_argument("--hot-only", action="store_true",
-                         help="skip the executor phases; record only the "
-                         "hot-loop matrix (and --baseline-src cross-tree "
-                         "comparison) as a 'hotloop' record")
-    bench_p.add_argument("--compare", nargs=2, default=None,
-                         metavar=("OLD", "NEW"),
-                         help="diff two bench records' hot-loop "
-                         "sections; exit 1 on per-scheme regressions, "
-                         "2 when the records are not comparable "
-                         "(disjoint scheme or app sets)")
-    bench_p.add_argument("--min-ratio", type=float, default=0.9,
-                         help="with --compare: a scheme regresses when "
-                         "new/old engine speedup falls below this "
-                         "(default 0.9)")
-    bench_p.set_defaults(func=_cmd_bench)
 
     verify_p = sub.add_parser(
         "verify",

@@ -118,8 +118,8 @@ class CompiledTrace:
 
 
 #: Per-trace memo: traces are immutable, so the decode is shared by
-#: every system bound to the same workload (sweep repeats, lockstep
-#: batches).  Weak keys keep the cache from pinning dead workloads.
+#: every system bound to the same workload (sweep repeats, the
+#: configurations of one grid).  Weak keys keep the cache from pinning dead workloads.
 _COMPILED: "weakref.WeakKeyDictionary[Trace, CompiledTrace]" = \
     weakref.WeakKeyDictionary()
 

@@ -25,7 +25,7 @@ state: per-uop status is ``ColumnState`` array columns (which pickle as
 flat buffers, not per-entry object graphs), the ROB window and the
 LQ/SQ are handle rings, and the work-lists are plain index lists.
 Run-state snapshots are both smaller and faster to take/restore than
-v3's (measured per scheme in ``BENCH_hotloop.json``).
+v3's.
 
 Two deliberate restrictions:
 

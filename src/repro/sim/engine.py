@@ -44,9 +44,12 @@ Behaviour is bit-exact against the frozen ``run_reference`` oracle
 (``Core.tick_reference``): same event schedule (the tie break is the
 queue's insertion sequence, so the engine issues exactly the calls the
 per-stage methods would), same statistics, same retire signatures.
-Parity is asserted per grid cell by ``repro bench`` and by
-``tests/test_soa_parity.py``, chaos on and off, sanitized, adversarial
-and mutated.
+Parity is asserted by ``tests/test_soa_parity.py`` for every grid
+cell, chaos on and off, sanitized, adversarial and mutated, and on the
+SPEC ``mcf_r``/``xz_r`` profiles.  The same file checks that every
+scheme in ``SPECIALIZED_DEFENSES`` runs without once entering the
+generic ``Core._issue_waiting_loads``, so a lost specialization fails a
+test rather than only costing time.
 
 Two refinements beyond a plain per-cycle tick:
 
@@ -66,8 +69,7 @@ Two refinements beyond a plain per-cycle tick:
   timing state is stored as absolute cycles in the columns, skipped
   regions need no per-slot catch-up: the clock advances in one
   arithmetic step and every column value stays valid.  This composes
-  with the existing all-quiet jump (and with ``Executor`` lockstep
-  batching above it).
+  with the existing all-quiet jump.
 
 The engine holds no simulated state of its own: everything lives in the
 ordinary object model, so checkpoints, diagnostics, and the reference

@@ -118,8 +118,8 @@ class System:
 
         Every configuration runs on the specialized engine
         (``repro.sim.engine``), built on the first call; it is bit-exact
-        against ``run_reference`` (asserted by the tests and by every
-        ``repro bench`` hot-loop cell).
+        against ``run_reference`` (asserted by
+        ``tests/test_soa_parity.py``).
         """
         if self._engine is None:
             from repro.sim.engine import build_engine
@@ -133,8 +133,8 @@ class System:
         """The unoptimized run loop: full per-cycle core scan, O(cores)
         retired summation, and unguarded per-stage calls via
         ``Core.tick_reference``.  Kept as the validation baseline for the
-        engine behind ``run`` — same simulated behaviour, measurably
-        slower (``python -m repro bench`` reports the ratio)."""
+        engine behind ``run`` — same simulated behaviour, several times
+        slower."""
         cycle = 0
         last_progress_cycle = 0
         last_retired = -1

@@ -40,7 +40,7 @@ This module holds the rule visitor; ``repro.verify.passes.lint_pass``
 runs it under ``repro verify analyze`` (``repro verify lint`` is exactly
 ``analyze --passes lint``).  A finding is waived by a trailing
 ``# repro: allow-<rule>`` comment on the offending line — e.g. the
-benchmark driver's timing reads carry ``# repro: allow-wall-clock``.
+job service's deadline reads carry ``# repro: allow-wall-clock``.
 
 Known-set inference is deliberately shallow and name-based (a lint, not a
 type checker): set displays/constructors/comprehensions, locals assigned

@@ -184,13 +184,6 @@ class TestAnalyzeExitCodes:
         assert json.loads(out.read_text()) == stdout_doc
 
 
-class TestBenchExitCodes:
-    def test_unknown_scheme_exits_nonzero(self):
-        with pytest.raises(SystemExit, match="unknown scheme"):
-            main(["bench", "--apps", "leela_r", "--schemes", "nosuch",
-                  "--instructions", "200", "--no-serial", "--out", ""])
-
-
 class TestSubmitExitCodes:
     def test_invalid_spec_rejected_before_any_network(self):
         with pytest.raises(SystemExit, match="unknown workload"):
@@ -215,83 +208,3 @@ class TestSubmitExitCodes:
                    "--instructions", "300"])
         assert rc == 1
         assert "repro submit" in capsys.readouterr().err
-
-
-class TestBenchCompareExitCodes:
-    """``repro bench --compare``: 0 comparable and clean, 1 ran and
-    found a regression, 2 records not comparable (disjoint scheme or
-    app sets) — so CI can tell "engine regressed" from "wrong sweep"."""
-
-    @staticmethod
-    def _record(path, schemes, apps=("mcf_r",), speedups=None):
-        per_scheme = {}
-        for i, label in enumerate(schemes):
-            cells = {app: {"speedup": (speedups or {}).get(
-                         (label, app), 2.0 + i)}
-                     for app in apps}
-            speedup = 1.0
-            for cell in cells.values():
-                speedup *= cell["speedup"]
-            speedup **= 1.0 / len(cells)
-            per_scheme[label] = {"apps": cells,
-                                 "speedup": round(speedup, 3)}
-        path.write_text(json.dumps({
-            "bench": "hotloop",
-            "hot_loop": {"apps": list(apps),
-                         "per_scheme": per_scheme},
-        }))
-        return str(path)
-
-    def test_identical_records_exit_zero(self, tmp_path, capsys):
-        old = self._record(tmp_path / "old.json", ["unsafe", "dom-ep"])
-        new = self._record(tmp_path / "new.json", ["unsafe", "dom-ep"])
-        assert main(["bench", "--compare", old, new]) == 0
-        assert "no per-scheme regressions" in capsys.readouterr().out
-
-    def test_regression_is_exit_one(self, tmp_path, capsys):
-        old = self._record(tmp_path / "old.json", ["dom-ep"],
-                           speedups={("dom-ep", "mcf_r"): 4.0})
-        new = self._record(tmp_path / "new.json", ["dom-ep"],
-                           speedups={("dom-ep", "mcf_r"): 2.0})
-        assert main(["bench", "--compare", old, new]) == 1
-        assert "regressed" in capsys.readouterr().out
-
-    def test_disjoint_schemes_exit_two(self, tmp_path, capsys):
-        old = self._record(tmp_path / "old.json", ["dom-ep", "dom-lp"])
-        new = self._record(tmp_path / "new.json", ["stt-ep", "stt-lp"])
-        assert main(["bench", "--compare", old, new]) == 2
-        err = capsys.readouterr().err
-        assert "share no hot-loop scheme" in err
-        assert "dom-ep" in err and "stt-ep" in err
-
-    def test_disjoint_apps_exit_two(self, tmp_path, capsys):
-        old = self._record(tmp_path / "old.json", ["dom-ep"],
-                           apps=("mcf_r",))
-        new = self._record(tmp_path / "new.json", ["dom-ep"],
-                           apps=("xz_r",))
-        assert main(["bench", "--compare", old, new]) == 2
-        err = capsys.readouterr().err
-        assert "share no hot-loop app" in err
-        assert "--hot-apps" in err
-
-    def test_missing_hot_loop_section_exit_two(self, tmp_path, capsys):
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps({"bench": "hotloop"}))
-        new = self._record(tmp_path / "new.json", ["dom-ep"])
-        assert main(["bench", "--compare", str(old), new]) == 2
-        assert "hot_loop.per_scheme" in capsys.readouterr().err
-
-    def test_overlapping_apps_compare_shared_subset(self, tmp_path,
-                                                    capsys):
-        # a broadened sweep (new app added) must not manufacture a
-        # phantom regression out of the new app's different mix: the
-        # per-scheme ratio is computed over the shared apps only
-        old = self._record(tmp_path / "old.json", ["dom-ep"],
-                           apps=("mcf_r",),
-                           speedups={("dom-ep", "mcf_r"): 4.0})
-        new = self._record(tmp_path / "new.json", ["dom-ep"],
-                           apps=("mcf_r", "xz_r"),
-                           speedups={("dom-ep", "mcf_r"): 4.0,
-                                     ("dom-ep", "xz_r"): 1.5})
-        assert main(["bench", "--compare", old, new]) == 0
-        assert "no per-scheme regressions" in capsys.readouterr().out

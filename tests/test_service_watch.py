@@ -1,6 +1,6 @@
 """The streaming results feed (long-poll ``GET /jobs?watch=``), the
-client's watch-first ``wait`` with capped-exponential poll fallback,
-and per-tenant quotas crossing the HTTP boundary."""
+client's watch-based ``wait``, and per-tenant quotas crossing the HTTP
+boundary."""
 
 import threading
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.common.errors import (BadRequestError, JobNotFoundError,
                                  QuotaExceededError)
-from repro.service import client as client_mod
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec
 from repro.service.server import ServiceServer
@@ -61,22 +60,6 @@ def idle_service(tmp_path):
         supervisor.close()
 
 
-class FakeClock:
-    """Stands in for the ``time`` module inside the client: sleeps
-    advance virtual time instantly and are recorded."""
-
-    def __init__(self):
-        self.now = 0.0
-        self.sleeps = []
-
-    def monotonic(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.sleeps.append(seconds)
-        self.now += seconds
-
-
 class TestWatchEndpoint:
     def test_watch_returns_terminal_doc_with_result(self, service):
         _supervisor, client = service
@@ -86,11 +69,24 @@ class TestWatchEndpoint:
         assert done[job_id]["status"] == "done"
         assert done[job_id]["result"]["cycles"] > 0
 
-    def test_wait_prefers_watch_and_never_polls(self, service):
+    def test_wait_prefers_watch_and_never_polls(self, service,
+                                                monkeypatch):
         _supervisor, client = service
-        result = client.run(SPEC, timeout_s=60.0)
-        assert result.cycles > 0
-        assert client._watch_supported is True
+        job_id = client.submit(SPEC)["job"]
+
+        def no_poll(job_id):
+            raise AssertionError("wait polled GET /jobs/<id>")
+
+        monkeypatch.setattr(client, "job", no_poll)
+        doc = client.wait(job_id, timeout_s=60.0)
+        assert doc["status"] == "done"
+        assert doc["result"]["cycles"] > 0
+
+    def test_wait_times_out_on_a_pending_job(self, idle_service):
+        _supervisor, client = idle_service
+        job_id = client.submit(SPEC)["job"]
+        with pytest.raises(TimeoutError):
+            client.wait(job_id, timeout_s=0.2)
 
     def test_watch_timeout_reports_pending(self, idle_service):
         _supervisor, client = idle_service
@@ -113,68 +109,6 @@ class TestWatchEndpoint:
         with pytest.raises(BadRequestError):
             client._request_once(
                 "GET", "/jobs?watch=abc&timeout_s=soon", None)
-
-    def test_fallback_when_server_predates_watch(self, service,
-                                                 monkeypatch):
-        """A 404 on the watch route flips the client to polling — the
-        compatibility path against pre-watch servers."""
-        _supervisor, client = service
-
-        def no_route(job_ids, timeout_s=0.0):
-            raise JobNotFoundError("no route for GET /jobs")
-
-        monkeypatch.setattr(client, "watch", no_route)
-        result = client.run(SPEC, timeout_s=60.0)
-        assert result.cycles > 0
-        assert client._watch_supported is False
-
-
-class TestPollBackoff:
-    def wait_against_stub(self, status_docs, **wait_kwargs):
-        """Drive ``wait`` (polling path) against a canned status doc
-        and a fake clock; returns the recorded sleep schedule."""
-        client = ServiceClient("http://127.0.0.1:1", jitter_seed=7)
-        client._watch_supported = False
-        client.job = lambda job_id: dict(status_docs)
-        clock = FakeClock()
-        original_time = client_mod.time
-        client_mod.time = clock
-        try:
-            with pytest.raises(TimeoutError):
-                client.wait("f" * 64, **wait_kwargs)
-        finally:
-            client_mod.time = original_time
-        return clock.sleeps
-
-    def test_backoff_doubles_up_to_cap(self):
-        sleeps = self.wait_against_stub(
-            {"status": "queued"}, timeout_s=30.0, poll_s=0.2,
-            poll_cap_s=2.0)
-        assert sleeps, "polling must sleep between requests"
-        # jitter is in [0.5, 1.0) of the current delay: every sleep
-        # sits inside the geometric envelope and under the cap
-        assert all(sleep <= 2.0 for sleep in sleeps)
-        assert sleeps[0] <= 0.2
-        assert max(sleeps) > 4 * sleeps[0]  # it actually backed off
-        # nothing hammers: total request count is logarithmic-ish, not
-        # timeout/poll_s (which would be 150 at the old fixed interval)
-        assert len(sleeps) < 40
-
-    def test_retry_after_hint_is_honored(self):
-        sleeps = self.wait_against_stub(
-            {"status": "queued", "retry_after_s": 0.7}, timeout_s=10.0,
-            poll_s=0.01, poll_cap_s=5.0)
-        assert sleeps
-        assert all(sleep >= 0.7 for sleep in sleeps)
-
-    def test_seeded_schedule_is_reproducible(self):
-        first = self.wait_against_stub(
-            {"status": "queued"}, timeout_s=20.0, poll_s=0.1,
-            poll_cap_s=1.0)
-        second = self.wait_against_stub(
-            {"status": "queued"}, timeout_s=20.0, poll_s=0.1,
-            poll_cap_s=1.0)
-        assert first == second  # same jitter_seed -> same timing
 
 
 class TestTenantQuotas:

@@ -16,7 +16,11 @@ More properties pin down the seams:
   speculation, adversarial (transient) traces and mutated defenses,
   each matching ``run_reference`` — the attack campaign's cells run
   unsanitized here so quiet skipping is exercised;
-* an adversarial run never writes the shared memoized trace decode.
+* an adversarial run never writes the shared memoized trace decode;
+* every scheme of the paper's grid keeps its specialized issue loop
+  (a run never enters the generic ``Core._issue_waiting_loads``), and
+  the engine matches the oracle on the real ``mcf_r``/``xz_r`` SPEC
+  profiles for every scheme.
 """
 
 import dataclasses
@@ -28,16 +32,17 @@ from hypothesis import strategies as st
 
 from repro.common.params import (ChaosConfig, DefenseKind, PinningMode,
                                  SystemConfig, ThreatModel)
+from repro.core.pipeline import Core
 from repro.isa.compiled import CompiledTrace, compile_trace
 from repro.isa.trace import Trace, Workload
 from repro.isa.uops import MicroOp, OpClass
 from repro.security.attacks import ATTACK_CLASSES, attack_cell
 from repro.security.campaign import MUTANT_CHECKS, all_scheme_names
 from repro.sim.checkpoint import restore_system, snapshot_system
-from repro.sim.engine import SpecializedEngine
+from repro.sim.engine import SPECIALIZED_DEFENSES, SpecializedEngine
 from repro.sim.runner import collect_result, scheme_grid
 from repro.sim.system import System
-from repro.workloads import WorkloadProfile, build_workload
+from repro.workloads import WorkloadProfile, build_workload, spec17_workload
 
 BASE = SystemConfig()
 
@@ -61,6 +66,10 @@ SCHEMES = dict(
        for label, (defense, threat, pinning)
        in sorted(scheme_grid().items())]
     + sorted(INVISI.items()))
+
+#: The paper's 13-scheme grid: unsafe plus Fence/DOM/STT under each of
+#: Spectre, Comp, LP and EP.
+GRID = [label for label in sorted(SCHEMES) if label not in INVISI]
 
 #: Every fault class on: jitter+reorder, NACKs, evictions, WB spikes.
 CHAOS = ChaosConfig(seed=3, wb_spike_interval=300)
@@ -194,6 +203,56 @@ class TestEngineBuild:
         assert resumed._engine is None
         resumed.run()
         assert isinstance(resumed._engine, SpecializedEngine)
+
+
+def _no_generic_issue(core):
+    raise AssertionError(
+        f"core {core.core_id} entered the generic Core._issue_waiting_loads")
+
+
+class TestSpecializedIssueLoops:
+    def test_grid_covers_every_specialized_defense(self):
+        assert len(GRID) == 13
+        assert {SCHEMES[label].defense for label in GRID} \
+            == set(SPECIALIZED_DEFENSES)
+
+    @pytest.mark.parametrize("label", GRID)
+    def test_grid_scheme_never_enters_generic_issue(self, label,
+                                                    monkeypatch):
+        """A grid scheme that lost its specialized issue loop still
+        matches the oracle, only slower; this pins each scheme to its
+        own loop by making the generic stage raise."""
+        monkeypatch.setattr(Core, "_issue_waiting_loads",
+                            _no_generic_issue)
+        workload = spec17_workload("mcf_r", instructions=500)
+        system = _fresh(SCHEMES[label], workload)
+        system.run()
+        assert system.done, label
+
+    def test_generic_issue_patch_reaches_unspecialized_defense(
+            self, monkeypatch):
+        """Control for the test above: invisible speculation issues
+        through the generic stage, so the same patch must trip it."""
+        monkeypatch.setattr(Core, "_issue_waiting_loads",
+                            _no_generic_issue)
+        workload = spec17_workload("mcf_r", instructions=500)
+        system = _fresh(SCHEMES["invisi-comp"], workload)
+        with pytest.raises(AssertionError, match="generic"):
+            system.run()
+
+
+class TestSpecProfileParity:
+    @pytest.mark.parametrize("label", sorted(SCHEMES))
+    @pytest.mark.parametrize("app", ("mcf_r", "xz_r"))
+    def test_engine_matches_reference_on_spec_profile(self, app, label):
+        workload = spec17_workload(app, instructions=2000)
+        opt = _fresh(SCHEMES[label], workload)
+        opt.run()
+        ref = _fresh(SCHEMES[label], workload)
+        ref.run_reference()
+        _assert_indistinguishable(opt, ref, f"{app}/{label}")
+        assert collect_result(opt).to_dict() \
+            == collect_result(ref).to_dict(), f"{app}/{label}"
 
 
 #: (scheme, mutation) pairs of the attack campaign: every scheme as is,
