@@ -99,7 +99,8 @@ def _executor_runner(keys: List[_VariantKey], jobs: int) -> VariantRunner:
         config = dataclasses.replace(config, sanitize=True,
                                      defense_mutation=mutation)
         tasks.append(Task(_variant_label(key), config, workload))
-    outcome = Executor(jobs=jobs).run_tasks(tasks)
+    with Executor(jobs=jobs) as executor:
+        outcome = executor.run_tasks(tasks)
     if outcome.failures:
         failure = outcome.failures[0]
         raise RuntimeError(

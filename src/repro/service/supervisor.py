@@ -202,6 +202,7 @@ class Supervisor:
         self._stop.set()
         self._draining.set()
         self.queue.wake_all()
+        self._retire_executor(wait=False)
         self.journal.close()
 
     @property
@@ -405,6 +406,14 @@ class Supervisor:
                 self._level_jobs() - 1)
             self._run_batch(batch)
         self._requeue_leftovers()
+        self._retire_executor(wait=True)
+
+    def _retire_executor(self, wait: bool) -> None:
+        """Drop the executor and stop its pool's workers."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.close(wait=wait)
 
     def _run_batch(self, batch: List[str]) -> None:
         tasks: List[Task] = []
@@ -511,7 +520,9 @@ class Supervisor:
         self._level_entered = time.monotonic()  # repro: allow-wall-clock
         self._consecutive_failures = 0
         self._consecutive_successes = 0
-        self._executor = None  # rebuilt at the new width
+        # rebuilt at the new width; the old pool stops once any batch
+        # still running on it has finished
+        self._retire_executor(wait=False)
         key = "degradations" if delta > 0 else "recoveries"
         self.counters[key] += 1
         _log.warning("service level %s -> %s (%s)", previous,

@@ -10,12 +10,13 @@ independent, deterministic simulation.  This module provides
   JSON documents, shared between processes and across runs, with a
   per-entry integrity checksum (corrupt entries are quarantined, not
   silently re-simulated forever);
-* ``Executor`` — a *self-healing* process-pool engine: per-task
-  timeouts, failure isolation, retry of transient failures with capped
-  exponential backoff, resume of interrupted/timed-out tasks from
-  periodic simulation checkpoints (``repro.sim.checkpoint``), recovery
-  from killed workers by rebuilding the pool, and graceful degradation
-  to serial execution when the pool keeps breaking.
+* ``Executor`` — a *self-healing* process-pool engine whose pool stays
+  warm across batches: per-task timeouts, failure isolation, retry of
+  transient failures with capped exponential backoff, resume of
+  interrupted/timed-out tasks from periodic simulation checkpoints
+  (``repro.sim.checkpoint``), recovery from killed workers by
+  rebuilding the pool, and graceful degradation to serial execution
+  when the pool keeps breaking.
 
 Determinism: simulations are pure functions of (config, workload), so
 results are bit-identical whatever ``jobs`` is — the executor only
@@ -30,12 +31,15 @@ import hashlib
 import json
 import logging
 import os
+import pickle
 import signal
 import tempfile
 import threading
 import time
+import weakref
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 try:
@@ -99,21 +103,12 @@ def _init_pool_worker(memory_mb: Optional[int] = None) -> None:
                      "worker %d", memory_mb, os.getpid())
 
 
-# canonical config JSON is memoized per config object: sweeps reuse a
-# handful of configs across hundreds of workload cells
-_config_json_memo: Dict[int, Tuple[SystemConfig, str]] = {}
-
-
+# canonical config JSON is memoized per config value: sweeps reuse a
+# handful of configs across hundreds of workload cells.  ``SystemConfig``
+# is a frozen dataclass, so equal configs share one bounded entry.
+@lru_cache(maxsize=1024)
 def _config_json(config: SystemConfig) -> str:
-    # pure identity memo: the id() key is validated with an `is` check
-    # and never ordered, persisted, or exposed, so address reuse across
-    # runs cannot change any result
-    memo = _config_json_memo.get(id(config))  # repro: allow-id-ordering
-    if memo is not None and memo[0] is config:
-        return memo[1]
-    text = json.dumps(config.to_dict(), sort_keys=True)
-    _config_json_memo[id(config)] = (config, text)  # repro: allow-id-ordering
-    return text
+    return json.dumps(config.to_dict(), sort_keys=True)
 
 
 def cache_key(config: SystemConfig, workload: Workload) -> str:
@@ -132,10 +127,10 @@ def cache_key(config: SystemConfig, workload: Workload) -> str:
     return h.hexdigest()
 
 
-def _result_checksum(result_doc: Dict) -> str:
-    """Integrity checksum over the canonical result document."""
-    text = json.dumps(result_doc, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+def _result_checksum(doc_text: str) -> str:
+    """Integrity checksum over the result document's canonical JSON
+    (``json.dumps(doc, sort_keys=True)``)."""
+    return hashlib.sha256(doc_text.encode()).hexdigest()
 
 
 class ResultStore:
@@ -205,7 +200,7 @@ class ResultStore:
                 or payload.get("format") != CACHE_FORMAT_VERSION:
             return None, "format marker mismatch"
         if payload.get("checksum") != _result_checksum(
-                payload.get("result", {})):
+                json.dumps(payload.get("result", {}), sort_keys=True)):
             return None, "checksum mismatch"
         try:
             return SimResult.from_dict(payload["result"]), None
@@ -249,13 +244,17 @@ class ResultStore:
     def put(self, key: str, result: SimResult) -> None:
         directory = os.path.dirname(self._path(key))
         os.makedirs(directory, exist_ok=True)
-        doc = result.to_dict()
-        payload = {"format": CACHE_FORMAT_VERSION, "key": key,
-                   "result": doc, "checksum": _result_checksum(doc)}
+        # the result document is serialized once: its text is both the
+        # checksum's input and the payload's "result" member, spliced in
+        # where ``json.dump(payload, sort_keys=True)`` would put it
+        doc_text = json.dumps(result.to_dict(), sort_keys=True)
+        text = (f'{{"checksum": "{_result_checksum(doc_text)}", '
+                f'"format": {CACHE_FORMAT_VERSION}, '
+                f'"key": {json.dumps(key)}, "result": {doc_text}}}')
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
+                fh.write(text)
             with self._write_lock():
                 os.replace(tmp, self._path(key))
         except BaseException:
@@ -474,13 +473,13 @@ def _run_task(label: str, config: SystemConfig, workload: Workload,
               resume: bool = False,
               drain_flag: Optional[str] = None,
               ) -> Tuple[str, str, object, Dict]:
-    """Worker entry point (also the serial path, for identical
-    semantics at ``jobs=1``).  Never raises: failures are reported as
-    ('error'|'timeout'|'oom'|'drained', message) so one bad cell cannot
-    take down the batch or the pool.  The fourth element is attempt
-    metadata: ``attempt`` (1-based), ``resumed_from`` (checkpoint cycle
-    or None), ``checkpoint_cycle`` for drained tasks and, for
-    deadlocks, the diagnostic ``dump``."""
+    """Run one task, in a pool worker (via ``_run_pooled``) or on the
+    serial path, with identical semantics at any ``jobs``.  Never
+    raises: failures are reported as ('error'|'timeout'|'oom'|'drained',
+    message) so one bad cell cannot take down the batch or the pool.
+    The fourth element is attempt metadata: ``attempt`` (1-based),
+    ``resumed_from`` (checkpoint cycle or None), ``checkpoint_cycle``
+    for drained tasks and, for deadlocks, the diagnostic ``dump``."""
     global CURRENT_ATTEMPT
     CURRENT_ATTEMPT = attempt
     meta: Dict = {"attempt": attempt, "resumed_from": None}
@@ -506,6 +505,26 @@ def _run_task(label: str, config: SystemConfig, workload: Workload,
         return (label, "error", f"{type(err).__name__}: {err}", meta)
 
 
+#: A pool worker's last decoded workload and the blob it came from.  A
+#: batch ships each distinct workload as one pickled blob, and a worker
+#: usually runs several of its cells in a row, so it decodes (and
+#: compiles) the trace graph once per run of equal blobs.  Keyed on the
+#: blob, not the fingerprint: two workloads of equal content but
+#: different names share a fingerprint, yet ``SimResult.workload_name``
+#: comes from the object.
+_LAST_DECODED: Optional[Tuple[bytes, Workload]] = None
+
+
+def _run_pooled(label: str, config: SystemConfig, workload_blob: bytes,
+                *args) -> Tuple[str, str, object, Dict]:
+    """Pool-worker entry point: decode the workload blob (or reuse the
+    last one) and run the task through ``_run_task``."""
+    global _LAST_DECODED
+    if _LAST_DECODED is None or _LAST_DECODED[0] != workload_blob:
+        _LAST_DECODED = (workload_blob, pickle.loads(workload_blob))
+    return _run_task(label, config, _LAST_DECODED[1], *args)
+
+
 class Executor:
     """Fans batches of sweep tasks over a process pool, self-healing.
 
@@ -520,6 +539,9 @@ class Executor:
       OOM) at least once, with capped exponential backoff between retry
       rounds — resuming from the task's rolling checkpoint when a
       ``checkpoint_dir`` is configured;
+    * keeps one process pool warm across ``run_tasks`` calls: the pool
+      is forked on first use and its workers stay up until ``close()``,
+      the end of a ``with`` block, or the executor being dropped;
     * recovers from a broken process pool by building a fresh pool for
       the next round, and degrades to in-process serial execution after
       ``pool_failure_limit`` consecutive breaks;
@@ -563,6 +585,42 @@ class Executor:
         self.drain_flag = drain_flag
         self._pool_breaks = 0
         self._degraded = False
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_finalizer: Optional[weakref.finalize] = None
+        #: Serializes pool creation + submission against ``close()``,
+        #: which the job service may call from its watchdog thread.
+        self._pool_lock = threading.Lock()
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self, wait: bool = True) -> None:
+        """Stop the pool's workers.  ``wait=False`` returns at once and
+        lets any batch still running on the pool finish; a later
+        ``run_tasks`` forks a fresh pool.  Idempotent."""
+        with self._pool_lock:
+            pool = self._pool
+            self._pool = None
+            if self._pool_finalizer is not None:
+                self._pool_finalizer.detach()
+                self._pool_finalizer = None
+        if pool is not None:
+            pool.shutdown(wait=wait)
+
+    def _open_pool(self) -> ProcessPoolExecutor:
+        """The warm pool, forked on first use (caller holds the lock)."""
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=_init_pool_worker,
+                initargs=(self.worker_memory_mb,))
+            # a dropped executor stops its workers too; the callback
+            # holds the pool, never the executor
+            self._pool_finalizer = weakref.finalize(
+                self, self._pool.shutdown, True)
+        return self._pool
 
     def _retry_budget(self, status: str) -> int:
         """Extra attempts allowed after a failure of ``status``.
@@ -697,31 +755,49 @@ class Executor:
                                      attempt[key], path, interval,
                                      task.resume, self.drain_flag)
             return
+        # each distinct workload is pickled once per batch; workers
+        # receive the blob and decode it once per run of equal blobs
+        blobs: Dict[Workload, bytes] = {}
+        futures = {}
+        with self._pool_lock:
+            pool = self._open_pool()
+            try:
+                for key, task in pending.items():
+                    blob = blobs.get(task.workload)
+                    if blob is None:
+                        blob = blobs[task.workload] = pickle.dumps(
+                            task.workload, protocol=pickle.HIGHEST_PROTOCOL)
+                    path, interval = self._checkpoint_args(key)
+                    futures[key] = pool.submit(
+                        _run_pooled, task.label, task.config, blob,
+                        timeout_of(task), attempt[key], path, interval,
+                        task.resume, self.drain_flag)
+            except BrokenExecutor:
+                pass  # broke while idle: unsubmitted tasks are interrupted
         broken = False
-        with ProcessPoolExecutor(max_workers=self.jobs,
-                                 initializer=_init_pool_worker,
-                                 initargs=(self.worker_memory_mb,)) as pool:
-            futures = {}
+        try:
             for key, task in pending.items():
-                path, interval = self._checkpoint_args(key)
-                futures[key] = pool.submit(
-                    _run_task, task.label, task.config, task.workload,
-                    timeout_of(task), attempt[key], path, interval,
-                    task.resume, self.drain_flag)
-            for key, future in futures.items():
-                task = pending[key]
                 try:
-                    yield key, future.result()
+                    if key not in futures:
+                        raise BrokenExecutor("pool broke before submission")
+                    outcome = futures[key].result()
                 except BrokenExecutor:
                     broken = True
-                    yield key, (task.label, "interrupted",
-                                "worker process died before the task "
-                                "completed", {"attempt": attempt[key]})
+                    outcome = (task.label, "interrupted",
+                               "worker process died before the task "
+                               "completed", {"attempt": attempt[key]})
                 except Exception as err:  # noqa: BLE001 - isolation
-                    yield key, (task.label, "error",
-                                f"{type(err).__name__}: {err}",
-                                {"attempt": attempt[key]})
+                    outcome = (task.label, "error",
+                               f"{type(err).__name__}: {err}",
+                               {"attempt": attempt[key]})
+                yield key, outcome
+        finally:
+            # left early (the caller raised): queued work must not run
+            # into the next batch on the warm pool
+            for future in futures.values():
+                future.cancel()
         if broken:
+            self.close()  # the next round forks a fresh pool
             stats["pool_rebuilds"] += 1
             self._pool_breaks += 1
             if not self._degraded \

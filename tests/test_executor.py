@@ -8,6 +8,8 @@ The contracts under test:
   so same-named workloads with different traces can never alias, and
   any config or trace change invalidates;
 * a raising or deadlocked worker is isolated to a ``TaskFailure``;
+* one warm pool serves every batch of an ``Executor`` and stops with it;
+* a store entry is byte-identical to the canonical ``json.dumps``;
 * ``System.run`` (optimized loop) matches ``System.run_reference``.
 """
 
@@ -438,6 +440,105 @@ class TestWorkerCrashIsolation:
             == run_simulation(crash, small_workload()).to_dict()
 
 
+def _pool_processes(executor):
+    return dict(executor._pool._processes)
+
+
+class TestWarmPool:
+    """One process pool per ``Executor``: forked on first use, reused by
+    every later ``run_tasks`` call, rebuilt only after it breaks, and
+    stopped by ``close()``, ``with`` or dropping the executor."""
+
+    def test_run_tasks_calls_reuse_the_workers(self):
+        with Executor(jobs=2) as executor:
+            first = executor.run_tasks(_batch_tasks()[:2])
+            pids = set(_pool_processes(executor))
+            second = executor.run_tasks(_batch_tasks()[2:])
+            assert set(_pool_processes(executor)) == pids
+        assert not first.failures and not second.failures
+        assert len(pids) == 2
+
+    def test_rebuilt_pool_is_reused_by_the_next_call(self, tmp_path):
+        import dataclasses
+        crash = dataclasses.replace(
+            BASE, chaos=_quiet_chaos(crash_at_cycle=400, crash_attempts=1))
+        with Executor(jobs=2, retries=1, checkpoint_dir=str(tmp_path),
+                      checkpoint_interval=150) as executor:
+            first = executor.run_tasks([Task("crashy", crash,
+                                             small_workload())])
+            assert not first.failures
+            assert first.stats["pool_rebuilds"] == 1
+            rebuilt = set(_pool_processes(executor))
+            second = executor.run_tasks(
+                [Task("solid", BASE, small_workload("leela_r"))])
+            assert second.stats["pool_rebuilds"] == 0
+            assert set(_pool_processes(executor)) == rebuilt
+        assert first.results["crashy"].to_dict() \
+            == run_simulation(crash, small_workload()).to_dict()
+        assert second.results["solid"].to_dict() \
+            == run_simulation(BASE, small_workload("leela_r")).to_dict()
+
+    def test_batch_sequence_matches_serial_and_keeps_names(self):
+        """Batches A, B, A on one pool, where B has A's content under
+        another name: each worker's decoded-workload memo must never
+        serve one for the other (their fingerprints are equal)."""
+        a = small_workload("mcf_r")
+        b = Workload(a.traces, name="mcf_r-renamed")
+        assert a.fingerprint == b.fingerprint
+        configs = [BASE, FENCE_EP,
+                   BASE.with_defense(DefenseKind.STT, COMPREHENSIVE,
+                                     PinningMode.LATE)]
+        batches = [[Task(f"{i}:{n}", config, workload)
+                    for n, config in enumerate(configs)]
+                   for i, workload in enumerate((a, b, a))]
+        serial = Executor(jobs=1)
+        with Executor(jobs=2) as pooled:
+            for batch in batches:
+                expected = serial.run_tasks(batch)
+                got = pooled.run_tasks(batch)
+                assert not got.failures
+                for task in batch:
+                    assert got.results[task.label].workload_name \
+                        == task.workload.name
+                    assert got.results[task.label].to_dict() \
+                        == expected.results[task.label].to_dict()
+
+    def test_closed_or_dropped_executor_leaves_no_live_workers(self):
+        import gc
+        tasks = _batch_tasks()[:2]
+        with Executor(jobs=2) as executor:
+            executor.run_tasks(tasks)
+            closed = list(_pool_processes(executor).values())
+        executor.close()   # idempotent
+        dropped = Executor(jobs=2)
+        dropped.run_tasks(tasks)
+        orphaned = list(_pool_processes(dropped).values())
+        del dropped
+        gc.collect()
+        assert closed and orphaned
+        assert not any(process.is_alive()
+                       for process in closed + orphaned)
+
+    def test_caller_error_leaves_the_pool_usable(self):
+        """A caller exception mid-batch cancels the batch's queued work;
+        the next batch on the same pool runs cleanly."""
+        class ExplodingCache:
+            def peek(self, config, workload):
+                return None
+
+            def insert(self, config, workload, result):
+                raise RuntimeError("disk full")
+
+        tasks = _batch_tasks()
+        with Executor(jobs=2) as executor:
+            with pytest.raises(RuntimeError, match="disk full"):
+                executor.run_tasks(tasks, cache=ExplodingCache())
+            outcome = executor.run_tasks(tasks)
+        assert not outcome.failures
+        _assert_same_results(outcome.results,
+                             Executor(jobs=1).run_tasks(tasks).results)
+
+
 class TestTimeoutRetryFromCheckpoint:
     def test_timed_out_task_resumes_and_matches_serial(self, tmp_path):
         """Acceptance: a task that times out (injected wall-clock stall)
@@ -500,6 +601,72 @@ class TestResultStoreQuarantine:
         # the slot is reusable after quarantine
         store.put(key, result)
         assert store.get(key).to_dict() == result.to_dict()
+
+
+class TestStoreEntryFormat:
+    """``put`` serializes the result document once, yet every entry is
+    byte-identical to ``json.dumps(payload, sort_keys=True)``."""
+
+    @staticmethod
+    def _payload(key, result):
+        import hashlib
+        doc = result.to_dict()
+        checksum = hashlib.sha256(
+            json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        return {"format": CACHE_FORMAT_VERSION, "key": key,
+                "result": doc, "checksum": checksum}
+
+    @staticmethod
+    def _cells():
+        from repro.workloads import parallel_workload
+        parallel = parallel_workload("fft", num_threads=2,
+                                     instructions_per_thread=200, seed=1)
+        return [(BASE, small_workload()),
+                (SystemConfig(num_cores=2).with_defense(
+                    DefenseKind.FENCE, COMPREHENSIVE, PinningMode.EARLY),
+                 parallel)]
+
+    def test_entry_bytes_match_canonical_dump(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        for config, workload in self._cells():
+            key = cache_key(config, workload)
+            result = run_simulation(config, workload)
+            store.put(key, result)
+            with open(store._path(key), "r", encoding="utf-8") as fh:
+                assert fh.read() == json.dumps(self._payload(key, result),
+                                               sort_keys=True)
+
+    def test_entry_in_previous_writer_format_reads_back(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        for config, workload in self._cells():
+            key = cache_key(config, workload)
+            result = run_simulation(config, workload)
+            os.makedirs(os.path.dirname(store._path(key)), exist_ok=True)
+            with open(store._path(key), "w", encoding="utf-8") as fh:
+                json.dump(self._payload(key, result), fh, sort_keys=True)
+            assert store.get(key).to_dict() == result.to_dict()
+
+
+class TestConfigJsonMemo:
+    def test_equal_configs_share_one_entry(self):
+        import dataclasses
+        from repro.sim.executor import _config_json
+        workload = small_workload()
+        _config_json.cache_clear()
+        keys = {cache_key(dataclasses.replace(FENCE_EP), workload)
+                for _ in range(1000)}
+        assert len(keys) == 1
+        assert _config_json.cache_info().currsize == 1
+
+    def test_cache_key_is_unchanged(self):
+        import hashlib
+        workload = small_workload()
+        for config in (BASE, FENCE_EP):
+            expected = hashlib.sha256(
+                f"repro-cache-v{CACHE_FORMAT_VERSION}\n".encode()
+                + json.dumps(config.to_dict(), sort_keys=True).encode()
+                + b"\n" + workload.fingerprint.encode()).hexdigest()
+            assert cache_key(config, workload) == expected
 
 
 class TestWorkerMemoryCeiling:

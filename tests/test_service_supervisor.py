@@ -185,6 +185,41 @@ def test_degradation_ladder_walks_down_and_back(tmp_path):
         supervisor.close()
 
 
+def test_level_shift_and_stop_leave_no_pool_workers(tmp_path):
+    """A level shift retires the executor and its pool (without waiting
+    on a batch still running there); stopping the supervisor stops the
+    current one."""
+    def alive(processes, within_s=10.0):
+        deadline = time.monotonic() + within_s
+        while any(process.is_alive() for process in processes) \
+                and time.monotonic() < deadline:
+            time.sleep(0.02)
+        return [process for process in processes if process.is_alive()]
+
+    supervisor = make_supervisor(tmp_path, jobs=4, degrade_after=1)
+    try:
+        supervisor.start()
+        assert wait_done(supervisor,
+                         supervisor.submit(SPEC)["job"])["status"] == "done"
+        old = list(supervisor._executor._pool._processes.values())
+        assert len(old) == 4
+        supervisor._note_failure("timeout")
+        assert supervisor.level == "reduced"
+        assert supervisor._executor is None
+        assert alive(old) == []
+        spec = JobSpec(workload="mcf_r", scheme="fence-ep",
+                       instructions=300, threads=1)
+        assert wait_done(supervisor,
+                         supervisor.submit(spec)["job"])["status"] == "done"
+        new = list(supervisor._executor._pool._processes.values())
+        assert len(new) == 2
+    finally:
+        supervisor.drain(wait=True, timeout_s=10.0)
+        supervisor.close()
+    assert supervisor._executor is None
+    assert [process for process in new if process.is_alive()] == []
+
+
 def test_warm_cache_satisfies_submission_without_worker(tmp_path):
     from repro.sim.runner import ExperimentCache
     # a prior batch run shared this cache directory
